@@ -84,7 +84,7 @@ from .verify import (
     radial_basis_gram,
     sufficient_bounds,
 )
-from .zeros import MAX_ZERO_INDEX, MAX_ZERO_ORDER, ZeroCache, j0_bracket, zero, zeros_upto
+from .zeros import MAX_ZERO_INDEX, MAX_ZERO_ORDER, ZeroCache, j0_bracket
 
 __version__ = "0.1.0"
 
@@ -100,8 +100,6 @@ __all__ = [
     "oracle_bessel_j",
     "ZeroCache",
     "j0_bracket",
-    "zero",
-    "zeros_upto",
     "MAX_ZERO_ORDER",
     "MAX_ZERO_INDEX",
     "FactorKind",

@@ -56,20 +56,16 @@ class EvalConfig:
     """Evaluation parameters for `bessel_j` and friends.
 
     Attributes:
-        target_rel_error: relative accuracy goal away from zeros of J_m.
         series_switch_point: argument threshold between the power series
             and the backward recurrence.
         max_terms: hard cap on series terms (safety net, never reached in
             the supported window).
     """
 
-    target_rel_error: float = 1e-12
     series_switch_point: float = 18.0
     max_terms: int = 400
 
     def __post_init__(self) -> None:
-        if not (self.target_rel_error > 0.0):
-            raise InvalidArgumentError("target_rel_error must be positive")
         if self.max_terms < 1:
             raise InvalidArgumentError("max_terms must be at least 1")
         if not (self.series_switch_point > 0.0):
@@ -192,37 +188,16 @@ def _miller_j(m: int, z: float) -> float:
     return jm / norm
 
 
-# vectorized twins of the scalar kernels (same algorithms elementwise;
-# numpy rounds once per operation, which is all Dekker arithmetic needs)
-
-def _v_two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _v_two_prod(a, b):
-    p = a * b
-    t = _SPLIT * a
-    ah = t - (t - a)
-    al = a - ah
-    t = _SPLIT * b
-    bh = t - (t - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
+# Vector kernels.  The double-double primitives above are elementwise on
+# numpy arrays too (numpy rounds once per operation, which is all Dekker
+# arithmetic needs).  The vector product alone keeps its own form: it adds
+# its error terms as (e + a) + b, where `_dd_mul` adds e + (a + b), and
+# merging the two would change `bessel_j_many` bits.
 
 def _v_dd_mul(xh, xl, yh, yl):
-    p, e = _v_two_prod(xh, yh)
+    p, e = _two_prod(xh, yh)
     e = e + xh * yl + xl * yh
-    return _v_two_sum(p, e)
-
-
-def _v_dd_div_d(xh, xl, d):
-    q1 = xh / d
-    p, e = _v_two_prod(q1, d)  # scalar d broadcasts through the splitting
-    q2 = ((xh - p) - e + xl) / d
-    return _v_two_sum(q1, q2)
+    return _two_sum(p, e)
 
 
 def _series_j_vec(m: int, z: np.ndarray, max_terms: int) -> np.ndarray:
@@ -232,17 +207,15 @@ def _series_j_vec(m: int, z: np.ndarray, max_terms: int) -> np.ndarray:
     zero_h = np.zeros_like(z)
     for i in range(1, m + 1):
         th, tl = _v_dd_mul(th, tl, h, zero_h)
-        th, tl = _v_dd_div_d(th, tl, float(i))
+        th, tl = _dd_div_d(th, tl, float(i))
     sh, sl = th.copy(), tl.copy()
-    qh, ql = _v_two_prod(h, h)
+    qh, ql = _two_prod(h, h)
     qh, ql = -qh, -ql
     h_max = float(np.max(h)) if z.size else 0.0
     for l in range(1, max_terms + 1):
         th, tl = _v_dd_mul(th, tl, qh, ql)
-        th, tl = _v_dd_div_d(th, tl, float(l * (l + m)))
-        s, e = _v_two_sum(sh, th)
-        sl = sl + tl + e
-        sh, sl = _v_two_sum(s, sl)
+        th, tl = _dd_div_d(th, tl, float(l * (l + m)))
+        sh, sl = _dd_add(sh, sl, th, tl)
         # <= so the z = 0 lane (where the threshold underflows to 0) converges
         if l > h_max and np.all(np.abs(th) <= 1e-40 * (np.abs(sh) + 1e-300)):
             return sh + sl
@@ -338,8 +311,8 @@ def _validate(m: int, z: float) -> None:
 def bessel_j(m: int, z: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     """Evaluate J_m(z) for integer m and z >= 0.
 
-    Accuracy: relative error <= cfg.target_rel_error wherever |J_m(z)| is
-    not vanishingly small, absolute error <= 1e-13 otherwise.
+    Accuracy: relative error <= 1e-12 wherever |J_m(z)| is not vanishingly
+    small, absolute error <= 1e-13 otherwise.
 
     Raises:
         UnsupportedRangeError: (m, z) outside |m| <= 200, 0 <= z <= 500.

@@ -12,6 +12,10 @@ Three kinds of factor occur in the product eigenforms:
 * Holomorphic: the zero eigenvalue of the dbar-Neumann factor; eigenfunctions
   are the monomials z^p.  Smoothness at the origin forces p >= 0.
 
+Both oscillatory kinds come from one table per disc, the squared scaled
+zeros (lambda_{nu,j}/a)^2: Dirichlet labels zero order nu with m = +-nu,
+Neumann-positive with m = nu - 1 and m = -nu - 1.
+
 Factor identity is (kind, angular_order, radial_index): equal eigenvalues
 with different angular orders are distinct modes.
 """
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .bessel import DEFAULT_CONFIG, EvalConfig, bessel_j, bessel_j_prime
@@ -45,7 +50,7 @@ class FactorKind(enum.Enum):
     HOLOMORPHIC = "holomorphic"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class ModeFactor:
     """One separated per-variable mode.
 
@@ -94,41 +99,18 @@ def _sort_key(f: ModeFactor) -> tuple:
     return (f.lambda_k, f.kind.value, f.angular_order, f.radial_index or 0)
 
 
-def dirichlet_factors(a: float, lambda_max: float, cache: ZeroCache) -> list[ModeFactor]:
-    """Every Dirichlet factor on the disc of radius a with lambda_k <= lambda_max.
+def _table_factors(
+    a: float,
+    lambda_max: float,
+    cache: ZeroCache,
+    make: Callable[[int, int, float, ZeroCache], ModeFactor],
+    orders: Callable[[int], tuple[int, ...]],
+) -> list[ModeFactor]:
+    """One walk over the disc's zero table: make(m, j) for every (nu, j) with
+    (lambda_{nu,j} / a)^2 <= lambda_max and every angular order m in orders(nu).
 
-    +m and -m are listed as distinct factors for m != 0 (their eigenvalues
-    coincide, the modes do not).  Completeness of the truncation relies on
-    lambda_{m,1} growing strictly with m (interlacing).
-    """
-    if not (a > 0.0):
-        raise InvalidArgumentError("radius must be positive")
-    out: list[ModeFactor] = []
-    if lambda_max <= 0.0:
-        return out
-    m = 0
-    while True:
-        # compare the contracted quantity (z/a)^2 itself, so no borderline
-        # factor is gained or lost to the rounding of a sqrt
-        if (cache.zero(m, 1) / a) ** 2 > lambda_max:
-            break  # lambda_{m,1} grows strictly with m
-        j = 1
-        while (cache.zero(m, j) / a) ** 2 <= lambda_max:
-            out.append(dirichlet_factor(m, j, a, cache))
-            if m != 0:
-                out.append(dirichlet_factor(-m, j, a, cache))
-            j += 1
-        m += 1
-    out.sort(key=_sort_key)
-    return out
-
-
-def neumann_factors(a: float, lambda_max: float, cache: ZeroCache) -> list[ModeFactor]:
-    """Every Neumann-positive factor with lambda_k <= lambda_max.
-
-    Angular orders m with |m + 1| = nu share the zero order nu: for nu = 0
-    that is m = -1 alone, for nu >= 1 both m = nu - 1 and m = -nu - 1.
-    Holomorphic (lambda = 0) factors are not included here.
+    Completeness of the truncation relies on lambda_{nu,1} growing strictly
+    with nu (interlacing).
     """
     if not (a > 0.0):
         raise InvalidArgumentError("radius must be positive")
@@ -136,18 +118,41 @@ def neumann_factors(a: float, lambda_max: float, cache: ZeroCache) -> list[ModeF
     if lambda_max <= 0.0:
         return out
     nu = 0
-    while True:
-        if (cache.zero(nu, 1) / a) ** 2 > lambda_max:
-            break
-        orders = (-1,) if nu == 0 else (nu - 1, -nu - 1)
+    # compare the contracted quantity (z/a)^2 itself, so no borderline
+    # factor is gained or lost to the rounding of a sqrt
+    while (cache.zero(nu, 1) / a) ** 2 <= lambda_max:
+        labels = orders(nu)
         j = 1
         while (cache.zero(nu, j) / a) ** 2 <= lambda_max:
-            for m in orders:
-                out.append(neumann_factor(m, j, a, cache))
+            for m in labels:
+                out.append(make(m, j, a, cache))
             j += 1
         nu += 1
     out.sort(key=_sort_key)
     return out
+
+
+def dirichlet_factors(a: float, lambda_max: float, cache: ZeroCache) -> list[ModeFactor]:
+    """Every Dirichlet factor on the disc of radius a with lambda_k <= lambda_max.
+
+    Zero order nu labels m = nu and m = -nu: +m and -m are distinct factors
+    for m != 0 (their eigenvalues coincide, the modes do not).
+    """
+    return _table_factors(
+        a, lambda_max, cache, dirichlet_factor, lambda nu: (nu, -nu) if nu else (0,)
+    )
+
+
+def neumann_factors(a: float, lambda_max: float, cache: ZeroCache) -> list[ModeFactor]:
+    """Every Neumann-positive factor with lambda_k <= lambda_max.
+
+    The same table as `dirichlet_factors`, relabelled by |m + 1| = nu: for
+    nu = 0 that is m = -1 alone, for nu >= 1 both m = nu - 1 and m = -nu - 1.
+    Holomorphic (lambda = 0) factors are not included here.
+    """
+    return _table_factors(
+        a, lambda_max, cache, neumann_factor, lambda nu: (nu - 1, -nu - 1) if nu else (-1,)
+    )
 
 
 def robin_residual(f: ModeFactor, cfg: EvalConfig = DEFAULT_CONFIG) -> float:

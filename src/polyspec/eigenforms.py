@@ -30,7 +30,7 @@ from .bessel import (
     bessel_j_prime,
     bessel_j_second,
 )
-from .disc_modes import FactorKind, ModeFactor
+from .disc_modes import FactorKind, ModeFactor, radial_profile
 from .errors import InvalidArgumentError
 from .spectrum import EigenMode
 
@@ -81,14 +81,7 @@ def _check_point(mode: EigenMode, p: FormPoint) -> None:
 
 
 def _factor_value(f: ModeFactor, r: float, theta: float, cfg: EvalConfig) -> complex:
-    m = f.angular_order
-    if f.kind is FactorKind.HOLOMORPHIC:
-        radial = r**m if m else 1.0
-    else:
-        s = math.sqrt(f.lambda_k)
-        order = abs(m) if f.kind is FactorKind.DIRICHLET else m
-        radial = bessel_j(order, s * r, cfg)
-    return radial * cmath.exp(1j * m * theta)
+    return radial_profile(f, r, cfg) * cmath.exp(1j * f.angular_order * theta)
 
 
 def eval_coefficient(mode: EigenMode, p: FormPoint, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:

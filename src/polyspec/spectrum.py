@@ -99,7 +99,8 @@ class EigenMode:
 
     @property
     def family(self) -> str:
-        kinds = {f.kind for k, f in enumerate(self.factors, start=1) if k not in set(self.J)}
+        # __post_init__ makes the Dirichlet factors exactly those in J
+        kinds = {f.kind for f in self.factors} - {FactorKind.DIRICHLET}
         if kinds == {FactorKind.HOLOMORPHIC}:
             return FAMILY_PURE_HOLOMORPHIC
         if kinds == {FactorKind.NEUMANN_POSITIVE}:
@@ -166,23 +167,20 @@ def enumerate_modes(
     budget = 4.0 * lambda_max
     slack = _PRUNE_SLACK * max(1.0, budget)
     dmin = [(cache.zero(0, 1) / a) ** 2 for a in P.radii]
+    # One Dirichlet and one complement list per disc, cut where the q - 1
+    # partners of disc k sit at their smallest ground values: the most room
+    # any J leaves it.  The walk's prune cuts each list where a J leaves less.
+    dirichlet: list[list[ModeFactor]] = []
+    complement: list[list[ModeFactor]] = []
+    for k, a in enumerate(P.radii):
+        partners = sorted(dmin[:k] + dmin[k + 1 :])[: q - 1]
+        cap = budget - sum(partners) + slack  # final exact test filters
+        dirichlet.append(dirichlet_factors(a, cap, cache))
+        complement.append([holomorphic_factor(0, a)] + neumann_factors(a, cap, cache))
 
     for J in itertools.combinations(range(1, P.n + 1), q):
-        jset = set(J)
-        base = sum(dmin[k - 1] for k in J)
-        if base > budget + slack:
-            continue
-        lists: list[list[ModeFactor]] = []
-        for k in range(1, P.n + 1):
-            others = base - (dmin[k - 1] if k in jset else 0.0)
-            per_budget = budget - others + slack  # final exact test filters
-            if k in jset:
-                lst = dirichlet_factors(P.radii[k - 1], per_budget, cache)
-            else:
-                lst = [holomorphic_factor(0, P.radii[k - 1])]
-                lst += neumann_factors(P.radii[k - 1], per_budget, cache)
-            lists.append(lst)
-        if any(not lst for lst in lists):
+        lists = [dirichlet[k] if k + 1 in J else complement[k] for k in range(P.n)]
+        if not all(lists):
             continue
         suffix_min = [0.0] * (P.n + 1)
         for i in range(P.n - 1, -1, -1):
@@ -242,8 +240,9 @@ def assemble_spectrum(
                 j += 1
             else:
                 break
-        finite = sum(1 for m in group if not m.has_holomorphic)
-        infinite = any(m.has_holomorphic for m in group)
+        holomorphic = [m.has_holomorphic for m in group]
+        finite = holomorphic.count(False)
+        infinite = any(holomorphic)
         families = tuple(sorted({m.family for m in group}))
         points.append(
             SpectralPoint(

@@ -30,8 +30,6 @@ __all__ = [
     "MAX_ZERO_INDEX",
     "ZeroCache",
     "j0_bracket",
-    "zero",
-    "zeros_upto",
 ]
 
 MAX_ZERO_ORDER = 150
@@ -196,13 +194,3 @@ class ZeroCache:
             if converged:
                 break
         return x, (lo, hi)
-
-
-def zero(m: int, j: int, cache: ZeroCache) -> float:
-    """The j-th positive zero of J_{|m|} (see `ZeroCache.zero`)."""
-    return cache.zero(m, j)
-
-
-def zeros_upto(m: int, x_max: float, cache: ZeroCache) -> list[float]:
-    """All positive zeros of J_{|m|} up to x_max, ascending."""
-    return cache.zeros_upto(m, x_max)

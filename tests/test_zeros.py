@@ -15,8 +15,6 @@ from polyspec import (
     bessel_j,
     bessel_j_prime,
     j0_bracket,
-    zero,
-    zeros_upto,
 )
 
 LAM_0_1 = 2.404825557695773
@@ -86,16 +84,16 @@ def test_enclosures_contain_value(cache):
 
 
 def test_negative_order_reduction(cache):
-    assert zero(-3, 2, cache) == zero(3, 2, cache)
+    assert cache.zero(-3, 2) == cache.zero(3, 2)
     assert cache.zeros_upto(-2, 12.0) == cache.zeros_upto(2, 12.0)
 
 
 def test_zeros_upto(cache):
-    assert zeros_upto(0, 3.0, cache) == [cache.zero(0, 1)]
-    assert zeros_upto(0, 2.0, cache) == []
+    assert cache.zeros_upto(0, 3.0) == [cache.zero(0, 1)]
+    assert cache.zeros_upto(0, 2.0) == []
     boundary = cache.zero(5, 1)
-    assert zeros_upto(5, boundary, cache) == [boundary]  # inclusive boundary
-    got = zeros_upto(0, 40.0, cache)
+    assert cache.zeros_upto(5, boundary) == [boundary]  # inclusive boundary
+    got = cache.zeros_upto(0, 40.0)
     assert got == sorted(got)
     assert all(v <= 40.0 for v in got)
     assert cache.zero(0, len(got) + 1) > 40.0
