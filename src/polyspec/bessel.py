@@ -23,11 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import mpmath as mp
 import numpy as np
 
 from .errors import InternalConsistencyError, InvalidArgumentError, UnsupportedRangeError
+
+if TYPE_CHECKING:
+    import mpmath as mp
 
 __all__ = [
     "EvalConfig",
@@ -371,6 +374,8 @@ def oracle_bessel_j(m: int, z, digits: int = 50) -> mp.mpf:
         z: argument; int/float/str/mpf accepted, converted exactly.
         digits: requested decimal digits, at most 100.
     """
+    import mpmath as mp  # only the oracle needs it; keeps `import polyspec` light
+
     if not isinstance(m, int):
         raise InvalidArgumentError(f"order must be an integer, got {m!r}")
     if digits > 100 or digits < 1:

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
+
+import numpy as np
 
 from .bessel import DEFAULT_CONFIG, EvalConfig, bessel_j, bessel_j_prime
 from .errors import InvalidArgumentError
@@ -39,6 +40,8 @@ __all__ = [
     "holomorphic_factor",
     "dirichlet_factors",
     "neumann_factors",
+    "zero_table",
+    "row_factors",
     "robin_residual",
     "radial_profile",
 ]
@@ -99,35 +102,66 @@ def _sort_key(f: ModeFactor) -> tuple:
     return (f.lambda_k, f.kind.value, f.angular_order, f.radial_index or 0)
 
 
-def _table_factors(
-    a: float,
-    lambda_max: float,
-    cache: ZeroCache,
-    make: Callable[[int, int, float, ZeroCache], ModeFactor],
-    orders: Callable[[int], tuple[int, ...]],
-) -> list[ModeFactor]:
-    """One walk over the disc's zero table: make(m, j) for every (nu, j) with
-    (lambda_{nu,j} / a)^2 <= lambda_max and every angular order m in orders(nu).
+def zero_table(
+    a: float, lambda_max: float, cache: ZeroCache
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The disc's zero table below the cutoff, as arrays (lam, nu, j).
 
-    Completeness of the truncation relies on lambda_{nu,1} growing strictly
-    with nu (interlacing).
+    One row per (nu, j) with lam = (lambda_{nu,j} / a)^2 <= lambda_max,
+    ascending in lam.  Completeness of the truncation relies on
+    lambda_{nu,1} growing strictly with nu (interlacing).
     """
     if not (a > 0.0):
         raise InvalidArgumentError("radius must be positive")
-    out: list[ModeFactor] = []
-    if lambda_max <= 0.0:
-        return out
-    nu = 0
-    # compare the contracted quantity (z/a)^2 itself, so no borderline
-    # factor is gained or lost to the rounding of a sqrt
-    while (cache.zero(nu, 1) / a) ** 2 <= lambda_max:
-        labels = orders(nu)
-        j = 1
-        while (cache.zero(nu, j) / a) ** 2 <= lambda_max:
-            for m in labels:
-                out.append(make(m, j, a, cache))
-            j += 1
-        nu += 1
+    lams: list[float] = []
+    nus: list[int] = []
+    js: list[int] = []
+    if lambda_max > 0.0:
+        nu = 0
+        # compare the contracted quantity (z/a)^2 itself, so no borderline
+        # factor is gained or lost to the rounding of a sqrt
+        while (cache.zero(nu, 1) / a) ** 2 <= lambda_max:
+            j = 1
+            while (lam := (cache.zero(nu, j) / a) ** 2) <= lambda_max:
+                lams.append(lam)
+                nus.append(nu)
+                js.append(j)
+                j += 1
+            nu += 1
+    order = np.argsort(lams, kind="stable")
+    return (
+        np.array(lams, dtype=float)[order],
+        np.array(nus, dtype=np.int64)[order],
+        np.array(js, dtype=np.int64)[order],
+    )
+
+
+def row_factors(
+    kind: FactorKind, nu: int, j: int, a: float, cache: ZeroCache
+) -> tuple[ModeFactor, ...]:
+    """The factors of one oscillatory kind on the zero-table row (nu, j),
+    ascending in angular order.
+
+    Dirichlet labels zero order nu with m = -nu and m = nu; Neumann-positive
+    relabels it by |m + 1| = nu: m = -nu - 1 and m = nu - 1.  At nu = 0 the
+    two labels coincide (m = 0, resp. m = -1), so the row holds one factor.
+    """
+    if kind is FactorKind.DIRICHLET:
+        return tuple(dirichlet_factor(m, j, a, cache) for m in ((-nu, nu) if nu else (0,)))
+    if kind is FactorKind.NEUMANN_POSITIVE:
+        return tuple(neumann_factor(m, j, a, cache) for m in ((-nu - 1, nu - 1) if nu else (-1,)))
+    raise InvalidArgumentError("row_factors needs an oscillatory kind")
+
+
+def _table_factors(
+    kind: FactorKind, a: float, lambda_max: float, cache: ZeroCache
+) -> list[ModeFactor]:
+    _, nus, js = zero_table(a, lambda_max, cache)
+    out = [
+        f
+        for nu, j in zip(nus.tolist(), js.tolist())
+        for f in row_factors(kind, nu, j, a, cache)
+    ]
     out.sort(key=_sort_key)
     return out
 
@@ -138,9 +172,7 @@ def dirichlet_factors(a: float, lambda_max: float, cache: ZeroCache) -> list[Mod
     Zero order nu labels m = nu and m = -nu: +m and -m are distinct factors
     for m != 0 (their eigenvalues coincide, the modes do not).
     """
-    return _table_factors(
-        a, lambda_max, cache, dirichlet_factor, lambda nu: (nu, -nu) if nu else (0,)
-    )
+    return _table_factors(FactorKind.DIRICHLET, a, lambda_max, cache)
 
 
 def neumann_factors(a: float, lambda_max: float, cache: ZeroCache) -> list[ModeFactor]:
@@ -150,9 +182,7 @@ def neumann_factors(a: float, lambda_max: float, cache: ZeroCache) -> list[ModeF
     nu = 0 that is m = -1 alone, for nu >= 1 both m = nu - 1 and m = -nu - 1.
     Holomorphic (lambda = 0) factors are not included here.
     """
-    return _table_factors(
-        a, lambda_max, cache, neumann_factor, lambda nu: (nu - 1, -nu - 1) if nu else (-1,)
-    )
+    return _table_factors(FactorKind.NEUMANN_POSITIVE, a, lambda_max, cache)
 
 
 def robin_residual(f: ModeFactor, cfg: EvalConfig = DEFAULT_CONFIG) -> float:

@@ -33,7 +33,7 @@ from .bessel import DEFAULT_CONFIG, EvalConfig, bessel_j, bessel_j_many
 from .disc_modes import FactorKind, ModeFactor, holomorphic_factor
 from .eigenforms import FormPoint, eval_coefficient
 from .errors import InvalidArgumentError, InvariantViolationError
-from .spectrum import EigenMode, Polydisc, enumerate_modes
+from .spectrum import EigenMode, Polydisc, _ClassTable
 from .zeros import ZeroCache
 
 __all__ = [
@@ -190,7 +190,7 @@ def expand_from_samples(
     if F.shape != expected:
         raise InvalidArgumentError(f"sample grid has shape {F.shape}, expected {expected}")
 
-    modes = [m for m in enumerate_modes(P, q, truncation_lambda, cache) if m.J == J]
+    modes = list(_ClassTable(P, q, truncation_lambda, cache, J).modes())
     modes = _materialize_holomorphic(modes, p_max)
     if not modes:
         warnings.warn("truncation lies below the bottom of the spectrum; empty expansion")

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .bessel import DEFAULT_CONFIG, EvalConfig, bessel_j_many
 from .errors import (
@@ -105,6 +104,8 @@ def fd_radial_eigs(cfg: FdConfig, count: int) -> list[float]:
     # weight r: symmetrize T = W^{-1/2} A W^{-1/2}
     d = diag / r
     e = off / np.sqrt(r[:-1] * r[1:])
+    from scipy.linalg import eigh_tridiagonal  # only this oracle needs scipy.linalg
+
     try:
         vals = eigh_tridiagonal(
             d, e, select="i", select_range=(0, count - 1), eigvals_only=True

@@ -110,6 +110,31 @@ def test_witness_cap_respected_in_record():
     assert any(p["finite_multiplicity"] == 8 for p in doc["points"])
 
 
+def test_negative_witness_cap_exits_3():
+    res = run_cli(
+        "spectrum", "--radii", "1,1", "--q", "1", "--max", "5.2", "--witnesses", "-1"
+    )
+    assert res.returncode == 3
+    assert res.stdout == ""
+
+
+def test_import_leaves_oracle_dependencies_unloaded():
+    # scipy.linalg and mpmath serve only the FD and series oracles
+    res = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, polyspec; "
+            "print(sorted(m for m in ('scipy.linalg', 'mpmath') if m in sys.modules))",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
 def test_q_out_of_range_exits_3():
     res = run_cli("spectrum", "--radii", "1,1", "--q", "2", "--max", "5")
     assert res.returncode == 3

@@ -34,6 +34,11 @@ CORPUS = [
     ("spectrum --radii 1,1,1.3,2 --q 3 --max 6.5 --format csv", "5007ed1f046dbdff4224aabaeef7d54bd13611ad252abcaaaa5d58ecebfdb0a6"),
     ("spectrum --radii 1,1,1.3,2 --q 3 --max 6.5 --format table", "6cb4c6c036b7461a4c9d4c35d68241685d4bb9aa88c2edbaf6ee316895759943"),
     ("spectrum --radii 1,1 --q 1 --max 14 --witnesses 1", "00da3a69a1495110c46a609e7a04ee66eaba39e113123ef9bb30b842a5e6f79c"),
+    # equal radii: classes with equal value bits and equal J interleave in
+    # the witness lists
+    ("spectrum --radii 1,1,1 --q 1 --max 20 --witnesses 1000 --format json", "90dc4b5cf52de634cb3316d9813c6d3a404e5589bc2455dc33d7b186c40c6236"),
+    ("spectrum --radii 1,1,1,1 --q 2 --max 12 --witnesses 1000", "2820cbe773961ed05d09ecd3add238346e33f02fcbce668cec9799335e5f2876"),
+    ("spectrum --radii 1,1,2 --q 2 --max 16 --witnesses 0", "a6807ffdd9587a3557adcca2e56552cb71dd863d4151efcdae82cd20ccd8cde7"),
     ("spectrum --radii 1,1.5,1.8 --q 2 --max 0.5", "3f5660fa6876a7ee5b861bacaa99cddf0bcad4cf476f78c4d8a42a180f2ee039"),
     ("bottom --radii 1,1.5,1.8 --q 2", "a1ab571049252c4f4e3e99058b14eb3b8329d2d0dc57cb381a6588631e3b62ff"),
     ("bottom --radii 1,1,1.3,2 --q 3 --format table", "9e57a560ba483623b1ab2a8764a197459970375e4b866bf4e7f8a8dedf4d6844"),

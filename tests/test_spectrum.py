@@ -13,6 +13,7 @@ from polyspec import (
     enumerate_modes,
     mode_descriptor,
 )
+from polyspec.spectrum import mode_sort_key
 
 BOTTOM_11 = 1.445796490736696  # lambda_{0,1}^2 / 4
 BOTTOM_12 = 0.361449122684174  # lambda_{0,1}^2 / 16
@@ -102,6 +103,28 @@ def test_witness_cap(cache):
     pts = assemble_spectrum(Polydisc((1.0, 1.0)), 1, 5.2, cache=cache, witness_cap=3)
     assert all(len(p.witnesses) <= 3 for p in pts)
     assert pts[-1].finite_multiplicity == 8  # cap limits witnesses, not the count
+
+
+def test_negative_witness_cap_rejected(cache):
+    with pytest.raises(InvalidArgumentError):
+        assemble_spectrum(Polydisc((1.0, 1.0)), 1, 5.2, cache=cache, witness_cap=-1)
+
+
+@pytest.mark.parametrize(
+    "radii,q,lam",
+    [((1.0, 1.0, 1.0), 1, 12.0), ((1.0, 1.0, 1.0, 1.0), 2, 8.0), ((1.0, 1.3), 1, 14.0)],
+)
+def test_enumeration_is_the_concatenated_witnesses(cache, radii, q, lam):
+    # equal radii give distinct classes with equal value bits and equal J,
+    # whose modes interleave in mode_sort_key order
+    P = Polydisc(radii)
+    modes = enumerate_modes(P, q, lam, cache)
+    points = assemble_spectrum(P, q, lam, cache=cache, witness_cap=10**9)
+    assert modes == [m for p in points for m in p.witnesses]
+    assert modes == sorted(modes, key=mode_sort_key)
+    assert sum(p.finite_multiplicity for p in points) == sum(
+        not m.has_holomorphic for m in modes
+    )
 
 
 def test_bottom_examples(cache):
