@@ -15,6 +15,12 @@ Negative orders reduce through J_{-m}(z) = (-1)^m J_m(z), so the parity
 identity is bit-exact by construction.  Derivatives come from the
 three-term recurrences, never from finite differences.
 
+`bessel_j` evaluates one value.  `bessel_j_many` evaluates arrays: one
+order over any array of arguments, or one order per row of a 2-D argument
+array, where every row gets exactly the bits of its own one-order call.
+Each regime then runs once for all rows, which is what makes stacks of
+short rows (one radial profile per row) cheap.
+
 A slow arbitrary-precision series (`oracle_bessel_j`, mpmath-backed) is
 provided as independent ground truth for the test suite.
 """
@@ -195,61 +201,133 @@ def _miller_j(m: int, z: float) -> float:
 # numpy arrays too (numpy rounds once per operation, which is all Dekker
 # arithmetic needs).  The vector product alone keeps its own form: it adds
 # its error terms as (e + a) + b, where `_dd_mul` adds e + (a + b), and
-# merging the two would change `bessel_j_many` bits.
+# merging the two would change `bessel_j_many` bits.  Its multiplier is
+# loop-invariant in the series, so the Dekker split of its high part is
+# made once per call (`_split`) instead of once per term.
 
-def _v_dd_mul(xh, xl, yh, yl):
-    p, e = _two_prod(xh, yh)
+def _split(a):
+    t = _SPLIT * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _v_dd_mul(xh, xl, yh, yl, yh_split):
+    """(xh, xl) * (yh, yl) with `yh_split = _split(yh)`; `_two_prod` inlined."""
+    p = xh * yh
+    ah, al = _split(xh)
+    bh, bl = yh_split
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
     e = e + xh * yl + xl * yh
     return _two_sum(p, e)
 
 
-def _series_j_vec(m: int, z: np.ndarray, max_terms: int) -> np.ndarray:
+def _series_j_vec(orders: np.ndarray, z: np.ndarray, max_terms: int) -> np.ndarray:
+    """Power series for each row of z (F, N) at its order in orders (F,).
+
+    A row stops at the test a one-row call would stop at (past its own
+    largest half-argument, every lane converged) and is retired from the
+    working arrays, so each row keeps the bits of its one-row evaluation.
+    Zero lanes converge at once, so callers pad short rows with 0.
+    """
     h = 0.5 * z
+    # leading terms (z/2)^m / m!: one product chain, each row read off at its m
+    rows_at: dict[int, list[int]] = {}
+    for row, m in enumerate(orders.tolist()):
+        rows_at.setdefault(m, []).append(row)
     th = np.ones_like(z)
     tl = np.zeros_like(z)
-    zero_h = np.zeros_like(z)
-    for i in range(1, m + 1):
-        th, tl = _v_dd_mul(th, tl, h, zero_h)
-        th, tl = _dd_div_d(th, tl, float(i))
     sh, sl = th.copy(), tl.copy()
+    h_split = _split(h)
+    for i in range(1, max(rows_at) + 1):
+        th, tl = _v_dd_mul(th, tl, h, 0.0, h_split)
+        th, tl = _dd_div_d(th, tl, float(i))
+        if i in rows_at:
+            rows = rows_at[i]
+            sh[rows] = th[rows]
+            sl[rows] = tl[rows]
+    th, tl = sh.copy(), sl.copy()
     qh, ql = _two_prod(h, h)
     qh, ql = -qh, -ql
-    h_max = float(np.max(h)) if z.size else 0.0
+    q_split = _split(qh)
+    # one shared order stays a float scalar, which is cheaper per term
+    mf = float(orders[0]) if len(rows_at) == 1 else orders[:, None].astype(float)
+    h_max = h.max(axis=1)
+    h_top = float(h_max.max())
+    h_min = float(h_max.min())
+    live = np.arange(len(orders))
+    out = np.empty_like(z)
     for l in range(1, max_terms + 1):
-        th, tl = _v_dd_mul(th, tl, qh, ql)
-        th, tl = _dd_div_d(th, tl, float(l * (l + m)))
+        th, tl = _v_dd_mul(th, tl, qh, ql, q_split)
+        th, tl = _dd_div_d(th, tl, l * (l + mf))
         sh, sl = _dd_add(sh, sl, th, tl)
+        if l <= h_min:
+            continue
         # <= so the z = 0 lane (where the threshold underflows to 0) converges
-        if l > h_max and np.all(np.abs(th) <= 1e-40 * (np.abs(sh) + 1e-300)):
-            return sh + sl
+        ok = np.abs(th) <= 1e-40 * (np.abs(sh) + 1e-300)
+        if l > h_top and ok.all():
+            out[live] = sh + sl
+            return out
+        if len(live) == 1:
+            continue  # the test above was this row's own
+        done = ok.all(axis=1) & (l > h_max)
+        if not done.any():
+            continue
+        out[live[done]] = sh[done] + sl[done]
+        keep = ~done
+        th, tl, sh, sl, qh, ql, h_max, live = (
+            a[keep] for a in (th, tl, sh, sl, qh, ql, h_max, live)
+        )
+        q_split = tuple(a[keep] for a in q_split)
+        if not isinstance(mf, float):
+            mf = mf[keep]
+        h_top = float(h_max.max())
+        h_min = float(h_max.min())
     raise InternalConsistencyError(
-        f"vector power series for J_{m} did not converge within {max_terms} terms"
+        f"vector power series for orders {sorted(rows_at)} "
+        f"did not converge within {max_terms} terms"
     )
 
 
-def _miller_j_vec(m: int, z: np.ndarray) -> np.ndarray:
-    z_max = float(np.max(z))
-    start = max(m, int(z_max)) + 40 + int(2.0 * math.sqrt(z_max))
-    if start % 2:
-        start += 1
+def _miller_j_vec(orders: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Backward recurrence for each row of z (F, N) at its order in orders (F,).
+
+    Each row starts from its own seed order, taken from its largest
+    argument; until then its recurrence values are held at zero, which
+    leaves it exactly where a one-row call begins.  Callers pad short rows
+    with the row's largest argument.
+    """
+    z_max = z.max(axis=1).tolist()
+    seeds: dict[int, list[int]] = {}
+    captures: dict[int, list[int]] = {}
+    for row, (m, zm) in enumerate(zip(orders.tolist(), z_max)):
+        start = max(m, int(zm)) + 40 + int(2.0 * math.sqrt(zm))
+        if start % 2:
+            start += 1
+        seeds.setdefault(start, []).append(row)
+        captures.setdefault(m, []).append(row)
     fkp1 = np.zeros_like(z)
-    fk = np.full_like(z, 1e-30)
+    fk = np.zeros_like(z)
     jm = np.zeros_like(z)
     norm = np.zeros_like(z)
     comp = np.zeros_like(z)
     two_over_z = 2.0 / z
-    for k in range(start, 0, -1):
+    for k in range(max(seeds), 0, -1):
+        if k in seeds:
+            fk[seeds[k]] = 1e-30
         fkm1 = k * two_over_z * fk - fkp1
         fkp1 = fk
         fk = fkm1
         order = k - 1
-        if order == m:
-            jm = fk.copy()
+        if order in captures:
+            rows = captures[order]
+            jm[rows] = fk[rows]
         if order % 2 == 0:
-            t = fk if order == 0 else 2.0 * fk
-            s = norm + t
-            comp = comp + np.where(np.abs(norm) >= np.abs(t), (norm - s) + t, (t - s) + norm)
-            norm = s
+            # TwoSum's error is the exact rounding error that the scalar
+            # kernel's |norm| >= |t| branch computes; only the sign of a
+            # zero error can differ, and comp reaches the result only
+            # through norm + comp with norm != 0
+            norm, err = _two_sum(norm, fk if order == 0 else 2.0 * fk)
+            comp = comp + err
         big = np.abs(fk) > _RESCALE_LIMIT
         if big.any():
             scale = np.where(big, _RESCALE, 1.0)
@@ -259,40 +337,87 @@ def _miller_j_vec(m: int, z: np.ndarray) -> np.ndarray:
             norm = norm * scale
             comp = comp * scale
     norm = norm + comp
-    if np.any(norm == 0.0) or not np.all(np.isfinite(norm)):
-        raise InternalConsistencyError(f"vector backward recurrence failed for order {m}")
+    if (norm == 0.0).any() or not np.isfinite(norm).all():
+        raise InternalConsistencyError(
+            f"vector backward recurrence failed for orders {sorted(captures)}"
+        )
     return jm / norm
 
 
-def bessel_j_many(m: int, z, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Elementwise J_m over an array of arguments; same contract as `bessel_j`.
+def _by_rows(
+    kernel, orders: np.ndarray, z: np.ndarray, lanes: np.ndarray, pad: np.ndarray, out: np.ndarray
+) -> None:
+    """Run a row kernel on the selected lanes of each row of z, packed left.
 
-    One backward-recurrence sweep serves all large arguments at once, so
-    quadrature-sized batches are much cheaper than a scalar loop.
+    Rows without a selected lane are left out; shorter rows are filled up
+    with their entry of `pad`.  Results land in the same lanes of `out`.
     """
-    if not isinstance(m, int):
-        raise InvalidArgumentError(f"order must be an integer, got {m!r}")
+    counts = lanes.sum(axis=1)
+    hit = counts > 0
+    if not hit.any():
+        return
+    packed_lanes = np.arange(int(counts.max())) < counts[hit, None]
+    packed = np.repeat(pad[hit, None], packed_lanes.shape[1], axis=1)
+    packed[packed_lanes] = z[lanes]
+    out[lanes] = kernel(orders[hit], packed)[packed_lanes]
+
+
+def bessel_j_many(m, z, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """Elementwise J_m over arrays of arguments; same contract as `bessel_j`.
+
+    Two forms:
+
+    * `m` an int: J_m over every entry of `z` (any shape), shape preserved;
+    * `m` a 1-D integer sequence of F orders and `z` of shape (F, N): row i
+      holds J_{m[i]}(z[i]).  Row i has exactly the bits of
+      `bessel_j_many(int(m[i]), z[i])`, which is the one-row case.
+
+    Lanes split at `cfg.series_switch_point` as in `bessel_j`; each regime
+    runs once for all rows, the series retiring rows as they converge and
+    the backward recurrence seeding each row at its own start order.  So
+    batches of quadrature size are much cheaper than a scalar loop, and
+    many short rows much cheaper than one call per row.
+    """
     zs = np.asarray(z, dtype=float)
+    if isinstance(m, int):
+        orders = np.array([m], dtype=np.int64)
+        rows = zs.reshape(1, -1)
+    else:
+        orders = np.asarray(m)
+        if orders.ndim != 1 or (orders.size and orders.dtype.kind not in "iu"):
+            raise InvalidArgumentError(
+                f"order must be an integer or a 1-D integer sequence, got {m!r}"
+            )
+        if zs.ndim != 2 or zs.shape[0] != orders.size:
+            raise InvalidArgumentError(
+                f"{orders.size} orders need arguments of shape ({orders.size}, N), "
+                f"got {zs.shape}"
+            )
+        orders = orders.astype(np.int64)
+        rows = zs
     if not np.all(np.isfinite(zs)):
         raise InvalidArgumentError("arguments must be finite")
-    if abs(m) > MAX_ORDER or (zs.size and (zs.min() < 0.0 or zs.max() > MAX_ARGUMENT)):
+    mags = np.abs(orders)
+    if (mags.size and mags.max() > MAX_ORDER) or (
+        zs.size and (zs.min() < 0.0 or zs.max() > MAX_ARGUMENT)
+    ):
         raise UnsupportedRangeError(
             f"requested values outside |m| <= {MAX_ORDER}, 0 <= z <= {MAX_ARGUMENT}"
         )
-    sign = 1.0
-    mm = m
-    if mm < 0:
-        mm = -mm
-        if mm % 2:
-            sign = -1.0
-    flat = zs.ravel()
-    out = np.empty_like(flat)
-    small = flat <= cfg.series_switch_point
-    if small.any():
-        out[small] = _series_j_vec(mm, flat[small], cfg.max_terms)
-    if (~small).any():
-        out[~small] = _miller_j_vec(mm, flat[~small])
-    return sign * out.reshape(zs.shape)
+    out = np.empty_like(rows)
+    small = rows <= cfg.series_switch_point
+
+    def series(o, zz):
+        return _series_j_vec(o, zz, cfg.max_terms)
+
+    _by_rows(series, mags, rows, small, np.zeros(len(rows)), out)
+    if rows.size:
+        _by_rows(_miller_j_vec, mags, rows, ~small, rows.max(axis=1), out)
+    # J_{-m} = (-1)^m J_m
+    sign = np.where((orders < 0) & (mags % 2 == 1), -1.0, 1.0)
+    if isinstance(m, int):
+        return float(sign[0]) * out.reshape(zs.shape)
+    return sign[:, None] * out
 
 
 def _validate(m: int, z: float) -> None:
@@ -334,13 +459,25 @@ def bessel_j(m: int, z: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     return sign * _miller_j(m, z)
 
 
+def _check_neighbours(m: int, k: int, what: str) -> None:
+    if abs(m - k) > MAX_ORDER or abs(m + k) > MAX_ORDER:
+        raise UnsupportedRangeError(f"{what} at order {m} needs |m|+{k} <= {MAX_ORDER}")
+
+
+def _prime(j_below: float, j_above: float) -> float:
+    return 0.5 * (j_below - j_above)
+
+
+def _second(j_below2: float, j: float, j_above2: float) -> float:
+    return 0.25 * (j_below2 - 2.0 * j + j_above2)
+
+
 def bessel_j_prime(m: int, z: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     """Derivative J'_m(z) via the recurrence J'_m = (J_{m-1} - J_{m+1}) / 2."""
     _validate(m, z)
     # keep neighbor orders inside the window at the edge
-    if abs(m - 1) > MAX_ORDER or abs(m + 1) > MAX_ORDER:
-        raise UnsupportedRangeError(f"derivative at order {m} needs |m|+1 <= {MAX_ORDER}")
-    return 0.5 * (bessel_j(m - 1, z, cfg) - bessel_j(m + 1, z, cfg))
+    _check_neighbours(m, 1, "derivative")
+    return _prime(bessel_j(m - 1, z, cfg), bessel_j(m + 1, z, cfg))
 
 
 def bessel_j_second(m: int, z: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
@@ -351,11 +488,23 @@ def bessel_j_second(m: int, z: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float
     equation stay non-circular.
     """
     _validate(m, z)
-    if abs(m - 2) > MAX_ORDER or abs(m + 2) > MAX_ORDER:
-        raise UnsupportedRangeError(f"second derivative at order {m} needs |m|+2 <= {MAX_ORDER}")
-    return 0.25 * (
-        bessel_j(m - 2, z, cfg) - 2.0 * bessel_j(m, z, cfg) + bessel_j(m + 2, z, cfg)
-    )
+    _check_neighbours(m, 2, "second derivative")
+    return _second(bessel_j(m - 2, z, cfg), bessel_j(m, z, cfg), bessel_j(m + 2, z, cfg))
+
+
+def _bessel_j_with_derivatives(
+    m: int, z: float, cfg: EvalConfig = DEFAULT_CONFIG
+) -> tuple[float, float, float]:
+    """(J_m(z), J'_m(z), J''_m(z)) from one `bessel_j` call per order m-2..m+2.
+
+    Each value has the bits of `bessel_j`, `bessel_j_prime` and
+    `bessel_j_second`, which raise the same range errors in the same order.
+    """
+    _validate(m, z)
+    _check_neighbours(m, 1, "derivative")
+    _check_neighbours(m, 2, "second derivative")
+    jm2, jm1, j, jp1, jp2 = (bessel_j(m + d, z, cfg) for d in range(-2, 3))
+    return j, _prime(jm1, jp1), _second(jm2, j, jp2)
 
 
 def oracle_bessel_j(m: int, z, digits: int = 50) -> mp.mpf:

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from .bessel import (
     DEFAULT_CONFIG,
     EvalConfig,
+    _bessel_j_with_derivatives,
     bessel_j,
     bessel_j_prime,
-    bessel_j_second,
 )
 from .disc_modes import FactorKind, ModeFactor, radial_profile
 from .errors import InvalidArgumentError
@@ -84,28 +84,39 @@ def _factor_value(f: ModeFactor, r: float, theta: float, cfg: EvalConfig) -> com
     return radial_profile(f, r, cfg) * cmath.exp(1j * f.angular_order * theta)
 
 
-def eval_coefficient(mode: EigenMode, p: FormPoint, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
-    """The coefficient of dbar_J at p: the product of all factor values."""
+def _coefficient(mode: EigenMode, p: FormPoint, value) -> complex:
+    """Product over the mode's factors of value(k, f, r_k, theta_k), r_k
+    clipped to the factor's radius, after the point check."""
     _check_point(mode, p)
     out = complex(1.0)
-    for f, rv, tv in zip(mode.factors, p.r, p.theta):
-        out *= _factor_value(f, min(rv, f.radius), tv, cfg)
+    for k, (f, rv, tv) in enumerate(zip(mode.factors, p.r, p.theta)):
+        out *= value(k, f, min(rv, f.radius), tv)
     return out
 
 
-def _factor_laplacian(f: ModeFactor, r: float, theta: float, cfg: EvalConfig) -> complex:
-    """Per-variable Laplacian of the factor in polar form."""
+def eval_coefficient(mode: EigenMode, p: FormPoint, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
+    """The coefficient of dbar_J at p: the product of all factor values."""
+    return _coefficient(mode, p, lambda k, f, r, theta: _factor_value(f, r, theta, cfg))
+
+
+def _factor_value_and_laplacian(
+    f: ModeFactor, r: float, theta: float, cfg: EvalConfig
+) -> tuple[complex, complex]:
+    """The factor's value and its per-variable Laplacian in polar form.
+
+    An oscillatory factor evaluates J once at each order m-2..m+2.
+    """
     m = f.angular_order
     if f.kind is FactorKind.HOLOMORPHIC:
-        return 0.0  # monomials z^p are harmonic, exactly
+        return _factor_value(f, r, theta, cfg), 0.0  # monomials z^p are harmonic, exactly
     s = math.sqrt(f.lambda_k)
     order = abs(m) if f.kind is FactorKind.DIRICHLET else m
-    x = s * r
-    val = bessel_j(order, x, cfg)
-    d1 = s * bessel_j_prime(order, x, cfg)
-    d2 = s * s * bessel_j_second(order, x, cfg)
+    val, dj, ddj = _bessel_j_with_derivatives(order, s * r, cfg)
+    phase = cmath.exp(1j * m * theta)
+    d1 = s * dj
+    d2 = s * s * ddj
     radial = d2 + d1 / r - (m * m) / (r * r) * val
-    return radial * cmath.exp(1j * m * theta)
+    return val * phase, radial * phase
 
 
 def _value_and_laplacian(
@@ -117,12 +128,12 @@ def _value_and_laplacian(
             raise InvalidArgumentError("interior point required, got r on or past the boundary")
         if f.kind is not FactorKind.HOLOMORPHIC and rv <= 0.0:
             raise InvalidArgumentError("polar-chart axis r = 0 excluded for oscillatory factors")
-    values = [
-        _factor_value(f, rv, tv, cfg) for f, rv, tv in zip(mode.factors, p.r, p.theta)
-    ]
-    laps = [
-        _factor_laplacian(f, rv, tv, cfg) for f, rv, tv in zip(mode.factors, p.r, p.theta)
-    ]
+    values, laps = zip(
+        *(
+            _factor_value_and_laplacian(f, rv, tv, cfg)
+            for f, rv, tv in zip(mode.factors, p.r, p.theta)
+        )
+    )
     u = complex(1.0)
     for v in values:
         u *= v

@@ -20,6 +20,7 @@ counts.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -69,7 +70,8 @@ def read_grid(path: str) -> tuple[int, int, list[tuple[int, int]], np.ndarray]:
                 raise InvalidArgumentError(f"{path}: truncated node counts")
             counts.append(struct.unpack("<II", pair))
         shape = tuple(c for pair in counts for c in pair)
-        expected = int(np.prod(shape)) * 16
+        # math.prod: a numpy product wraps in int64 for large counts
+        expected = math.prod(shape) * 16
         payload = fh.read()
         if len(payload) != expected:
             raise InvalidArgumentError(

@@ -14,6 +14,13 @@ forms: a^2 J_{m+1}(lambda_{m,j})^2 / 2 for Dirichlet factors, the Robin
 analogue a^2 J_m(lambda_{m+1,j})^2 / 2 for Neumann-positive factors, and
 a^{2p+2} / (2p + 2) for monomials.
 
+Expansions evaluate each variable's distinct factors once: one row-wise
+`bessel_j_many` call gives every oscillatory radial profile on the
+quadrature nodes (the Dirichlet pair +-m shares one row), and each
+distinct profile's closed-form norm is computed once.  `synthesize`
+evaluates each distinct factor once per point.  Every result keeps the
+bits of the mode-by-mode formulas (`mode_norm_sq`, `eval_coefficient`).
+
 Holomorphic families cannot be materialized in full (the exponent is a
 free parameter), so expansions instantiate them up to an explicit cap
 `p_max`; the truncation is the caller's to choose and is visible in the
@@ -22,6 +29,7 @@ expansion itself.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -31,7 +39,7 @@ import numpy as np
 
 from .bessel import DEFAULT_CONFIG, EvalConfig, bessel_j, bessel_j_many
 from .disc_modes import FactorKind, ModeFactor, holomorphic_factor
-from .eigenforms import FormPoint, eval_coefficient
+from .eigenforms import FormPoint, _coefficient, _factor_value
 from .errors import InvalidArgumentError, InvariantViolationError
 from .spectrum import EigenMode, Polydisc, _ClassTable
 from .zeros import ZeroCache
@@ -68,9 +76,21 @@ class Expansion:
                 raise InvalidArgumentError("expansion mode above its truncation")
 
 
+@functools.lru_cache(maxsize=16)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per n.
+
+    The arrays are shared between callers, hence read-only.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def radial_quadrature(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [0, a] (plain dr weights)."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _gauss_legendre(n)
     return 0.5 * a * (x + 1.0), 0.5 * a * w
 
 
@@ -115,23 +135,44 @@ def sampled_norm_sq(F: np.ndarray, P: Polydisc, quad_nodes: int, angular_nodes: 
     return float(np.sum(W * np.abs(F) ** 2))
 
 
+def _factor_norm_sq(f: ModeFactor, cfg: EvalConfig) -> float:
+    """2 pi times the closed-form squared radial norm of one factor."""
+    a = f.radius
+    if f.kind is FactorKind.HOLOMORPHIC:
+        p = f.angular_order
+        radial = a ** (2 * p + 2) / (2 * p + 2)
+    else:
+        x = math.sqrt(f.lambda_k) * a
+        if f.kind is FactorKind.DIRICHLET:
+            edge = bessel_j(abs(f.angular_order) + 1, x, cfg)
+        else:
+            edge = bessel_j(f.angular_order, x, cfg)
+        radial = 0.5 * a * a * edge * edge
+    return 2.0 * math.pi * radial
+
+
+def _profile_order(f: ModeFactor) -> int:
+    """Order of the factor's radial profile: |m| for Dirichlet, else m."""
+    return abs(f.angular_order) if f.kind is FactorKind.DIRICHLET else f.angular_order
+
+
+def _factor_norms(factors, cfg: EvalConfig) -> dict[ModeFactor, float]:
+    """`_factor_norm_sq` of each distinct factor, computed once per profile
+    (the Dirichlet pair +-m has one)."""
+    by_profile: dict[tuple, float] = {}
+    out: dict[ModeFactor, float] = {}
+    for f in factors:
+        if f not in out:
+            key = (f.kind, _profile_order(f), f.lambda_k, f.radius)
+            if key not in by_profile:
+                by_profile[key] = _factor_norm_sq(f, cfg)
+            out[f] = by_profile[key]
+    return out
+
+
 def mode_norm_sq(mode: EigenMode, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     """Closed-form squared L^2 norm of the mode's coefficient."""
-    out = 1.0
-    for f in mode.factors:
-        a = f.radius
-        if f.kind is FactorKind.HOLOMORPHIC:
-            p = f.angular_order
-            radial = a ** (2 * p + 2) / (2 * p + 2)
-        else:
-            x = math.sqrt(f.lambda_k) * a
-            if f.kind is FactorKind.DIRICHLET:
-                edge = bessel_j(abs(f.angular_order) + 1, x, cfg)
-            else:
-                edge = bessel_j(f.angular_order, x, cfg)
-            radial = 0.5 * a * a * edge * edge
-        out *= 2.0 * math.pi * radial
-    return out
+    return math.prod(_factor_norm_sq(f, cfg) for f in mode.factors)
 
 
 def _materialize_holomorphic(modes: list[EigenMode], p_max: int) -> list[EigenMode]:
@@ -153,17 +194,35 @@ def _materialize_holomorphic(modes: list[EigenMode], p_max: int) -> list[EigenMo
     return out
 
 
-def _factor_grid(
-    f: ModeFactor, r: np.ndarray, theta: np.ndarray, cfg: EvalConfig
+def _factor_grids(
+    factors: list[ModeFactor], r: np.ndarray, theta: np.ndarray, cfg: EvalConfig
 ) -> np.ndarray:
-    m = f.angular_order
-    if f.kind is FactorKind.HOLOMORPHIC:
-        radial = r**m if m else np.ones_like(r)
-    else:
-        s = math.sqrt(f.lambda_k)
-        order = abs(m) if f.kind is FactorKind.DIRICHLET else m
-        radial = bessel_j_many(order, s * r, cfg)
-    return radial[:, None] * np.exp(1j * m * theta)[None, :]
+    """The factors' values on the polar grid, stacked as (factor, r, theta).
+
+    All oscillatory profiles come from one row-wise `bessel_j_many` call
+    with one row per distinct (order, lambda), so the Dirichlet pair +-m
+    shares J_{|m|}; monomials give r^p, and each distinct angular order
+    gives one phase row.
+    """
+    bessel_rows: dict[tuple[int, float], int] = {}
+    for f in factors:
+        if f.kind is not FactorKind.HOLOMORPHIC:
+            bessel_rows.setdefault((_profile_order(f), f.lambda_k), len(bessel_rows))
+    if bessel_rows:
+        s = np.array([math.sqrt(lam) for _, lam in bessel_rows])
+        profiles = bessel_j_many([o for o, _ in bessel_rows], s[:, None] * r[None, :], cfg)
+    phases: dict[int, np.ndarray] = {}
+    radial = []
+    for f in factors:
+        m = f.angular_order
+        if f.kind is FactorKind.HOLOMORPHIC:
+            radial.append(r**m if m else np.ones_like(r))
+        else:
+            radial.append(profiles[bessel_rows[(_profile_order(f), f.lambda_k)]])
+        if m not in phases:
+            phases[m] = np.exp(1j * m * theta)
+    phase = np.stack([phases[f.angular_order] for f in factors])
+    return np.stack(radial)[:, :, None] * phase[:, None, :]
 
 
 def expand_from_samples(
@@ -218,15 +277,15 @@ def expand_from_samples(
         r, wr = radial_quadrature(P.radii[k], quad_nodes)
         theta, wt = angular_quadrature(angular_nodes)
         weight = np.multiply.outer(wr * r, wt)
-        stack = np.stack(
-            [np.conj(_factor_grid(f, r, theta, cfg)) * weight for f in per_var_factors[k]]
-        )
+        stack = np.conj(_factor_grids(per_var_factors[k], r, theta, cfg)) * weight
         G = np.tensordot(G, stack, axes=([0, 1], [1, 2]))
 
+    norms = _factor_norms((f for fs in per_var_factors for f in fs), cfg)
     terms = []
     for mode in modes:
         idx = tuple(per_var_index[k][mode.factors[k]] for k in range(P.n))
-        coeff = complex(G[idx]) / mode_norm_sq(mode, cfg)
+        # the product in mode_norm_sq's order, so each coefficient keeps its bits
+        coeff = complex(G[idx]) / math.prod(norms[f] for f in mode.factors)
         terms.append((mode, coeff))
     return Expansion(J, tuple(terms), truncation_lambda)
 
@@ -276,10 +335,25 @@ def apply_inverse(x: Expansion) -> Expansion:
 
 
 def synthesize(x: Expansion, p: FormPoint, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
-    """Pointwise value of the expansion's coefficient function."""
-    return sum((c * eval_coefficient(m, p, cfg) for m, c in x.terms), complex(0.0))
+    """Pointwise value of the expansion's coefficient function.
+
+    Equal, bit for bit, to sum(c * eval_coefficient(mode, p)) over the
+    terms; each distinct (variable, factor) value is evaluated once.
+    """
+    values: dict[tuple[int, ModeFactor], complex] = {}
+
+    def value(k: int, f: ModeFactor, r: float, theta: float) -> complex:
+        v = values.get((k, f))
+        if v is None:
+            v = values[(k, f)] = _factor_value(f, r, theta, cfg)
+        return v
+
+    return sum((c * _coefficient(m, p, value) for m, c in x.terms), complex(0.0))
 
 
 def expansion_norm(x: Expansion, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     """L^2 norm of the expansion, sqrt(sum |c|^2 ||e||^2)."""
-    return math.sqrt(sum(abs(c) ** 2 * mode_norm_sq(m, cfg) for m, c in x.terms))
+    norms = _factor_norms((f for m, _ in x.terms for f in m.factors), cfg)
+    return math.sqrt(
+        sum(abs(c) ** 2 * math.prod(norms[f] for f in m.factors) for m, c in x.terms)
+    )

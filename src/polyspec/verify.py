@@ -35,6 +35,7 @@ from .errors import (
     InvalidArgumentError,
     OracleInsufficientError,
 )
+from .spectral_ops import _gauss_legendre
 from .spectrum import Polydisc
 from .zeros import ZeroCache
 
@@ -195,7 +196,7 @@ def quad_inner_product(
         raise InvalidArgumentError("zero indices must be >= 1")
     if nodes < 256:
         raise InvalidArgumentError("use at least 256 quadrature nodes")
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = _gauss_legendre(nodes)
     r = 0.5 * (x + 1.0)
     wr = 0.5 * w
     lj = cache.zero(m, j)
@@ -222,7 +223,7 @@ def radial_basis_gram(
         raise InvalidArgumentError("order must be non-negative here")
     if size < 2:
         raise InvalidArgumentError("need at least two basis elements")
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = _gauss_legendre(nodes)
     r = 0.5 * (x + 1.0)
     wr = 0.5 * w * r
     basis = [r**m]

@@ -80,6 +80,58 @@ def test_vector_evaluator_contract():
         bessel_j_many(0, np.array([1.0, float("nan")]))
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def test_row_form_matches_one_row_calls_bit_for_bit():
+    rng = np.random.default_rng(61)
+    orders = np.arange(-60, 61)
+    Z = np.empty((orders.size, 20))
+    for i in range(orders.size):
+        kind = i % 3
+        if kind == 0:  # series lanes only
+            Z[i] = rng.uniform(0.0, 18.0, 20)
+        elif kind == 1:  # backward-recurrence lanes only
+            Z[i] = rng.uniform(18.0, 500.0, 20) * rng.uniform(0.05, 1.0)
+        else:  # both regimes in one row, the switch point itself included
+            Z[i] = np.concatenate([rng.uniform(0.0, 18.0, 9), rng.uniform(18.0, 120.0, 9), [18.0, 0.0]])
+    Z[::7, 3] = 18.0
+    got = bessel_j_many(orders, Z)
+    assert got.shape == Z.shape
+    for i, m in enumerate(orders.tolist()):
+        assert np.array_equal(_bits(got[i]), _bits(bessel_j_many(m, Z[i]))), m
+    # one row, one lane, and a shuffled subset of rows
+    assert np.array_equal(_bits(bessel_j_many([7], Z[:1])[0]), _bits(bessel_j_many(7, Z[0])))
+    lane = bessel_j_many([3, -3, 0], np.array([[18.0], [25.0], [0.0]]))
+    assert np.array_equal(
+        _bits(lane[:, 0]),
+        _bits([bessel_j_many(3, 18.0), bessel_j_many(-3, 25.0), bessel_j_many(0, 0.0)]),
+    )
+    pick = rng.permutation(orders.size)[:11]
+    sub = bessel_j_many(orders[pick], Z[pick])
+    assert np.array_equal(_bits(sub), _bits(got[pick]))
+    # empty inputs
+    assert bessel_j_many([], np.empty((0, 4))).shape == (0, 4)
+    assert bessel_j_many([2, 5], np.empty((2, 0))).shape == (2, 0)
+
+
+def test_row_form_validation():
+    Z = np.ones((2, 3))
+    with pytest.raises(InvalidArgumentError):
+        bessel_j_many([1.5, 2.0], Z)
+    with pytest.raises(InvalidArgumentError):
+        bessel_j_many([1, 2, 3], Z)
+    with pytest.raises(InvalidArgumentError):
+        bessel_j_many([[1, 2]], Z)
+    with pytest.raises(InvalidArgumentError):
+        bessel_j_many(np.int64(1), Z)
+    with pytest.raises(UnsupportedRangeError):
+        bessel_j_many([1, 201], Z)
+    with pytest.raises(UnsupportedRangeError):
+        bessel_j_many([1, 2], np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 501.0]]))
+
+
 def test_recurrence_residual_contract():
     # m J_m(z) = (z/2)(J_{m+1}(z) + J_{m-1}(z)) on 100 random points
     rng = np.random.default_rng(7)

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +18,12 @@ from polyspec.gridfile import write_grid
 from polyspec.spectral_ops import sample_on_grid
 
 SCHEMA_PATH = Path(polyspec.__file__).parent / "schema" / "spectrum_output.schema.json"
+# the package under test, importable in subprocesses without an install
+SRC_DIR = str(Path(polyspec.__file__).resolve().parents[1])
+ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, (SRC_DIR, os.environ.get("PYTHONPATH")))),
+}
 
 
 def run_cli(*args):
@@ -24,6 +32,7 @@ def run_cli(*args):
         capture_output=True,
         text=True,
         timeout=300,
+        env=ENV,
     )
 
 
@@ -130,6 +139,7 @@ def test_import_leaves_oracle_dependencies_unloaded():
         capture_output=True,
         text=True,
         timeout=300,
+        env=ENV,
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
@@ -237,6 +247,19 @@ def test_inverse_rejects_mismatched_flags(tmp_path):
         "--J", "1,2", "--max-lambda", "2.0",
     )
     assert res.returncode == 3
+
+
+def test_inverse_rejects_wrapped_grid_header(tmp_path):
+    # 65536^4 node-count product wraps to 0 in int64; the empty payload
+    # must still fail the size check
+    grid_path = tmp_path / "w.pspc"
+    grid_path.write_bytes(struct.pack("<4sIIIIIII", b"PSPC", 1, 2, 1, *(65536,) * 4))
+    res = run_cli(
+        "inverse", "--input", str(grid_path), "--radii", "1,1", "--q", "1",
+        "--J", "1", "--max-lambda", "2.0",
+    )
+    assert res.returncode == 3, res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_help_shows_defaults():

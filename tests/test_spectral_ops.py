@@ -1,6 +1,7 @@
 """Spectral calculus: expansion, operator application, Parseval, grid files."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from polyspec import (
     Polydisc,
     apply_box,
     apply_inverse,
+    bessel_j_many,
     bottom,
     box_coefficient_value,
     enumerate_modes,
+    eval_coefficient,
     expand,
     expand_from_samples,
     expansion_norm,
@@ -24,7 +27,13 @@ from polyspec import (
     synthesize,
 )
 from polyspec.gridfile import read_grid, write_grid
-from polyspec.spectral_ops import Expansion, sampled_norm_sq
+from polyspec.disc_modes import FactorKind
+from polyspec.spectral_ops import (
+    Expansion,
+    angular_quadrature,
+    radial_quadrature,
+    sampled_norm_sq,
+)
 
 P11 = Polydisc((1.0, 1.0))
 BOTTOM_11 = 1.445796490736696
@@ -259,3 +268,101 @@ def test_gridfile_rejects_corruption(tmp_path):
     path.write_bytes(data[:-8])  # truncate payload
     with pytest.raises(InvalidArgumentError):
         read_grid(str(path))
+
+
+def test_gridfile_rejects_wrapped_size(tmp_path):
+    # node-count products past int64 must not wrap to a size an empty or
+    # short payload can match
+    path = tmp_path / "wrap.pspc"
+    for counts in ((65536,) * 4, (2**32 - 1,) * 4):
+        path.write_bytes(struct.pack("<4sIII4I", b"PSPC", 1, 2, 1, *counts))
+        with pytest.raises(InvalidArgumentError, match=r"expected \d+$"):
+            read_grid(str(path))
+
+
+P_MIXED = Polydisc((1.0, 1.3))
+
+
+@pytest.fixture(scope="module")
+def mixed_expansion(cache):
+    """An expansion whose variables carry Dirichlet +-m pairs, Neumann and
+    holomorphic factors."""
+
+    def f(z1, z2):
+        return np.exp(-(np.abs(z1) ** 2)) * (1.0 + z1 + 0.5 * np.conj(z2) ** 2) * (0.3 + z2)
+
+    F = sample_on_grid(f, P_MIXED, 64, 32)
+    return F, expand_from_samples(F, P_MIXED, 1, (1,), 30.0, cache, 64, 32, p_max=3)
+
+
+def _profile_order(f):
+    return abs(f.angular_order) if f.kind is FactorKind.DIRICHLET else f.angular_order
+
+
+def test_factor_stack_rows_match_per_factor_calls(mixed_expansion):
+    _, x = mixed_expansion
+    for k, a in enumerate(P_MIXED.radii):
+        r, _ = radial_quadrature(a, 64)
+        factors = list(dict.fromkeys(m.factors[k] for m, _ in x.terms))
+        osc = [f for f in factors if f.kind is not FactorKind.HOLOMORPHIC]
+        assert any(f.angular_order < 0 for f in osc)
+        s = np.array([math.sqrt(f.lambda_k) for f in osc])
+        rows = bessel_j_many([_profile_order(f) for f in osc], s[:, None] * r[None, :])
+        for f, si, row in zip(osc, s, rows):
+            ref = bessel_j_many(_profile_order(f), si * r)
+            assert np.array_equal(row.view(np.int64), ref.view(np.int64))
+
+
+def test_expand_matches_per_factor_loop(cache, mixed_expansion):
+    # reference: one grid per distinct factor, one mode_norm_sq per mode
+    F, x = mixed_expansion
+    modes = [m for m, _ in x.terms]
+    kinds = {f.kind for m in modes for f in m.factors}
+    assert kinds == set(FactorKind)
+    G = np.asarray(F, dtype=complex)
+    index = []
+    for k, a in enumerate(P_MIXED.radii):
+        r, wr = radial_quadrature(a, 64)
+        theta, wt = angular_quadrature(32)
+        weight = np.multiply.outer(wr * r, wt)
+        seen = dict.fromkeys(m.factors[k] for m in modes)
+        grids = []
+        for f in seen:
+            m = f.angular_order
+            if f.kind is FactorKind.HOLOMORPHIC:
+                radial = r**m if m else np.ones_like(r)
+            else:
+                radial = bessel_j_many(_profile_order(f), math.sqrt(f.lambda_k) * r)
+            grids.append(np.conj(radial[:, None] * np.exp(1j * m * theta)[None, :]) * weight)
+        G = np.tensordot(G, np.stack(grids), axes=([0, 1], [1, 2]))
+        index.append({f: i for i, f in enumerate(seen)})
+    for mode, c in x.terms:
+        idx = tuple(index[k][f] for k, f in enumerate(mode.factors))
+        assert c == complex(G[idx]) / mode_norm_sq(mode)
+
+
+def test_synthesize_equals_termwise_sum(mixed_expansion):
+    _, x = mixed_expansion
+    rng = np.random.default_rng(5)
+    points = [FormPoint.from_polar(rng.uniform(0, 1, 2) * np.array(P_MIXED.radii), rng.uniform(0, 2 * math.pi, 2)) for _ in range(4)]
+    points.append(FormPoint.from_polar(P_MIXED.radii, (0.3, 2.0)))  # on the torus
+    for p in points:
+        ref = sum((c * eval_coefficient(m, p) for m, c in x.terms), complex(0.0))
+        assert synthesize(x, p) == ref
+
+
+def test_expansion_norm_equals_termwise_sum(mixed_expansion):
+    _, x = mixed_expansion
+    ref = math.sqrt(sum(abs(c) ** 2 * mode_norm_sq(m) for m, c in x.terms))
+    assert expansion_norm(x) == ref
+    boxed = apply_box(x)
+    assert expansion_norm(boxed) == math.sqrt(sum(abs(c) ** 2 * mode_norm_sq(m) for m, c in boxed.terms))
+
+
+def test_quadrature_arrays_are_fresh(cache):
+    r1, w1 = radial_quadrature(1.0, 64)
+    r1[:] = 0.0
+    w1[:] = 0.0
+    r2, w2 = radial_quadrature(1.0, 64)
+    assert r2.min() > 0.0 and w2.min() > 0.0
+    assert abs(w2.sum() - 1.0) < 1e-14
