@@ -245,7 +245,7 @@ def _series_j_vec(orders: np.ndarray, z: np.ndarray, max_terms: int) -> np.ndarr
             rows = rows_at[i]
             sh[rows] = th[rows]
             sl[rows] = tl[rows]
-    th, tl = sh.copy(), sl.copy()
+    th, tl = sh, sl  # from here on every array is rebound, never written in place
     qh, ql = _two_prod(h, h)
     qh, ql = -qh, -ql
     q_split = _split(qh)

@@ -95,7 +95,9 @@ def test_row_form_matches_one_row_calls_bit_for_bit():
         elif kind == 1:  # backward-recurrence lanes only
             Z[i] = rng.uniform(18.0, 500.0, 20) * rng.uniform(0.05, 1.0)
         else:  # both regimes in one row, the switch point itself included
-            Z[i] = np.concatenate([rng.uniform(0.0, 18.0, 9), rng.uniform(18.0, 120.0, 9), [18.0, 0.0]])
+            Z[i] = np.concatenate(
+                [rng.uniform(0.0, 18.0, 9), rng.uniform(18.0, 120.0, 9), [18.0, 0.0]]
+            )
     Z[::7, 3] = 18.0
     got = bessel_j_many(orders, Z)
     assert got.shape == Z.shape
