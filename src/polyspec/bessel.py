@@ -472,15 +472,15 @@ def _second(j_below2: float, j: float, j_above2: float) -> float:
     return 0.25 * (j_below2 - 2.0 * j + j_above2)
 
 
-def bessel_j_prime(m: int, z: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def bessel_j_prime(m: int, z: float) -> float:
     """Derivative J'_m(z) via the recurrence J'_m = (J_{m-1} - J_{m+1}) / 2."""
     _validate(m, z)
     # keep neighbor orders inside the window at the edge
     _check_neighbours(m, 1, "derivative")
-    return _prime(bessel_j(m - 1, z, cfg), bessel_j(m + 1, z, cfg))
+    return _prime(bessel_j(m - 1, z), bessel_j(m + 1, z))
 
 
-def bessel_j_second(m: int, z: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def bessel_j_second(m: int, z: float) -> float:
     """Second derivative from the first-derivative recurrence applied twice.
 
     J''_m = (J_{m-2} - 2 J_m + J_{m+2}) / 4.  Deliberately not derived from
@@ -489,12 +489,10 @@ def bessel_j_second(m: int, z: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float
     """
     _validate(m, z)
     _check_neighbours(m, 2, "second derivative")
-    return _second(bessel_j(m - 2, z, cfg), bessel_j(m, z, cfg), bessel_j(m + 2, z, cfg))
+    return _second(bessel_j(m - 2, z), bessel_j(m, z), bessel_j(m + 2, z))
 
 
-def _bessel_j_with_derivatives(
-    m: int, z: float, cfg: EvalConfig = DEFAULT_CONFIG
-) -> tuple[float, float, float]:
+def _bessel_j_with_derivatives(m: int, z: float) -> tuple[float, float, float]:
     """(J_m(z), J'_m(z), J''_m(z)) from one `bessel_j` call per order m-2..m+2.
 
     Each value has the bits of `bessel_j`, `bessel_j_prime` and
@@ -503,7 +501,7 @@ def _bessel_j_with_derivatives(
     _validate(m, z)
     _check_neighbours(m, 1, "derivative")
     _check_neighbours(m, 2, "second derivative")
-    jm2, jm1, j, jp1, jp2 = (bessel_j(m + d, z, cfg) for d in range(-2, 3))
+    jm2, jm1, j, jp1, jp2 = (bessel_j(m + d, z) for d in range(-2, 3))
     return j, _prime(jm1, jp1), _second(jm2, j, jp2)
 
 

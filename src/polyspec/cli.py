@@ -418,6 +418,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if hasattr(args, "radii"):
         args.radii = _parse_radii(parser, args.radii)
+    if getattr(args, "seed", 0) < 0:
+        parser.error(f"--seed: must be non-negative, got {args.seed}")
     try:
         return args.func(args, sys.stdout)
     except (UnsupportedRangeError, InvalidArgumentError, OracleInsufficientError) as exc:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import DEFAULT_CONFIG, EvalConfig, bessel_j, bessel_j_prime
+from .bessel import bessel_j, bessel_j_prime
 from .errors import InvalidArgumentError
 from .zeros import ZeroCache
 
@@ -185,7 +185,7 @@ def neumann_factors(a: float, lambda_max: float, cache: ZeroCache) -> list[ModeF
     return _table_factors(FactorKind.NEUMANN_POSITIVE, a, lambda_max, cache)
 
 
-def robin_residual(f: ModeFactor, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def robin_residual(f: ModeFactor) -> float:
     """Residual |x J'_m(x) - m J_m(x)| at x = sqrt(lambda_k) * a.
 
     This is the separated boundary condition of a Neumann-positive factor,
@@ -196,10 +196,10 @@ def robin_residual(f: ModeFactor, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
         raise InvalidArgumentError("robin_residual applies to Neumann-positive factors")
     x = math.sqrt(f.lambda_k) * f.radius
     m = f.angular_order
-    return abs(x * bessel_j_prime(m, x, cfg) - m * bessel_j(m, x, cfg))
+    return abs(x * bessel_j_prime(m, x) - m * bessel_j(m, x))
 
 
-def radial_profile(f: ModeFactor, r: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def radial_profile(f: ModeFactor, r: float) -> float:
     """Radial part of the factor at radius r in [0, a].
 
     Dirichlet -> J_{|m|}(sqrt(lambda) r); Neumann-positive -> J_m(sqrt(lambda) r)
@@ -211,5 +211,5 @@ def radial_profile(f: ModeFactor, r: float, cfg: EvalConfig = DEFAULT_CONFIG) ->
         return r ** f.angular_order if f.angular_order else 1.0
     s = math.sqrt(f.lambda_k)
     if f.kind is FactorKind.DIRICHLET:
-        return bessel_j(abs(f.angular_order), s * r, cfg)
-    return bessel_j(f.angular_order, s * r, cfg)
+        return bessel_j(abs(f.angular_order), s * r)
+    return bessel_j(f.angular_order, s * r)

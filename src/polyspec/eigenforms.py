@@ -23,13 +23,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .bessel import (
-    DEFAULT_CONFIG,
-    EvalConfig,
-    _bessel_j_with_derivatives,
-    bessel_j,
-    bessel_j_prime,
-)
+from .bessel import _bessel_j_with_derivatives, bessel_j, bessel_j_prime
 from .disc_modes import FactorKind, ModeFactor, radial_profile
 from .errors import InvalidArgumentError
 from .spectrum import EigenMode
@@ -52,6 +46,12 @@ class FormPoint:
 
     r: tuple[float, ...]
     theta: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.r) != len(self.theta):
+            raise InvalidArgumentError(
+                f"point has {len(self.r)} radii but {len(self.theta)} angles"
+            )
 
     @classmethod
     def from_complex(cls, z) -> "FormPoint":
@@ -80,8 +80,8 @@ def _check_point(mode: EigenMode, p: FormPoint) -> None:
             raise InvalidArgumentError(f"point lies outside the closed polydisc (r={rv})")
 
 
-def _factor_value(f: ModeFactor, r: float, theta: float, cfg: EvalConfig) -> complex:
-    return radial_profile(f, r, cfg) * cmath.exp(1j * f.angular_order * theta)
+def _factor_value(f: ModeFactor, r: float, theta: float) -> complex:
+    return radial_profile(f, r) * cmath.exp(1j * f.angular_order * theta)
 
 
 def _coefficient(mode: EigenMode, p: FormPoint, value) -> complex:
@@ -94,24 +94,22 @@ def _coefficient(mode: EigenMode, p: FormPoint, value) -> complex:
     return out
 
 
-def eval_coefficient(mode: EigenMode, p: FormPoint, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
+def eval_coefficient(mode: EigenMode, p: FormPoint) -> complex:
     """The coefficient of dbar_J at p: the product of all factor values."""
-    return _coefficient(mode, p, lambda k, f, r, theta: _factor_value(f, r, theta, cfg))
+    return _coefficient(mode, p, lambda k, f, r, theta: _factor_value(f, r, theta))
 
 
-def _factor_value_and_laplacian(
-    f: ModeFactor, r: float, theta: float, cfg: EvalConfig
-) -> tuple[complex, complex]:
+def _factor_value_and_laplacian(f: ModeFactor, r: float, theta: float) -> tuple[complex, complex]:
     """The factor's value and its per-variable Laplacian in polar form.
 
     An oscillatory factor evaluates J once at each order m-2..m+2.
     """
     m = f.angular_order
     if f.kind is FactorKind.HOLOMORPHIC:
-        return _factor_value(f, r, theta, cfg), 0.0  # monomials z^p are harmonic, exactly
+        return _factor_value(f, r, theta), 0.0  # monomials z^p are harmonic, exactly
     s = math.sqrt(f.lambda_k)
     order = abs(m) if f.kind is FactorKind.DIRICHLET else m
-    val, dj, ddj = _bessel_j_with_derivatives(order, s * r, cfg)
+    val, dj, ddj = _bessel_j_with_derivatives(order, s * r)
     phase = cmath.exp(1j * m * theta)
     d1 = s * dj
     d2 = s * s * ddj
@@ -119,9 +117,7 @@ def _factor_value_and_laplacian(
     return val * phase, radial * phase
 
 
-def _value_and_laplacian(
-    mode: EigenMode, p: FormPoint, cfg: EvalConfig
-) -> tuple[complex, complex]:
+def _value_and_laplacian(mode: EigenMode, p: FormPoint) -> tuple[complex, complex]:
     _check_point(mode, p)
     for rv, f in zip(p.r, mode.factors):
         if rv >= f.radius:
@@ -129,10 +125,7 @@ def _value_and_laplacian(
         if f.kind is not FactorKind.HOLOMORPHIC and rv <= 0.0:
             raise InvalidArgumentError("polar-chart axis r = 0 excluded for oscillatory factors")
     values, laps = zip(
-        *(
-            _factor_value_and_laplacian(f, rv, tv, cfg)
-            for f, rv, tv in zip(mode.factors, p.r, p.theta)
-        )
+        *(_factor_value_and_laplacian(f, rv, tv) for f, rv, tv in zip(mode.factors, p.r, p.theta))
     )
     u = complex(1.0)
     for v in values:
@@ -147,30 +140,28 @@ def _value_and_laplacian(
     return u, lap_u
 
 
-def laplacian_residual(mode: EigenMode, p: FormPoint, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def laplacian_residual(mode: EigenMode, p: FormPoint) -> float:
     """Relative residual |(-1/4) Lap(u) - lambda u| / max(1e-30, |lambda u|) at p.
 
     Requires a strictly interior point with r_k > 0 wherever the factor is
     oscillatory (the polar chart is singular on the coordinate axes).
     """
-    u, lap_u = _value_and_laplacian(mode, p, cfg)
+    u, lap_u = _value_and_laplacian(mode, p)
     target = mode.value * u
     return abs(-0.25 * lap_u - target) / max(1e-30, abs(target))
 
 
-def box_coefficient_value(
-    mode: EigenMode, p: FormPoint, cfg: EvalConfig = DEFAULT_CONFIG
-) -> complex:
+def box_coefficient_value(mode: EigenMode, p: FormPoint) -> complex:
     """Pointwise value of -(1/4) Lap applied to the mode's coefficient.
 
     Computed from the analytic derivatives, not from the eigenvalue, so it
     provides an independent pointwise route to the operator's action.
     """
-    _, lap_u = _value_and_laplacian(mode, p, cfg)
+    _, lap_u = _value_and_laplacian(mode, p)
     return -0.25 * lap_u
 
 
-def factor_dbar_boundary(f: ModeFactor, theta: float, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
+def factor_dbar_boundary(f: ModeFactor, theta: float) -> complex:
     """Polar Wirtinger derivative (e^{it}/2)(d/dr + (i/r) d/dt) at r = a.
 
     For a factor g(r) e^{imt} this is (e^{i(m+1)t}/2)(g'(a) - (m/a) g(a)).
@@ -187,17 +178,15 @@ def factor_dbar_boundary(f: ModeFactor, theta: float, cfg: EvalConfig = DEFAULT_
     else:
         s = math.sqrt(f.lambda_k)
         order = abs(m) if f.kind is FactorKind.DIRICHLET else m
-        g = bessel_j(order, s * a, cfg)
-        gp = s * bessel_j_prime(order, s * a, cfg)
+        g = bessel_j(order, s * a)
+        gp = s * bessel_j_prime(order, s * a)
     return 0.5 * (gp - (m / a) * g) * cmath.exp(1j * (m + 1) * theta)
 
 
-def dbar_boundary_residual(
-    mode: EigenMode, k: int, theta: float, cfg: EvalConfig = DEFAULT_CONFIG
-) -> float:
+def dbar_boundary_residual(mode: EigenMode, k: int, theta: float) -> float:
     """|dbar_k of the k-th factor| on the circle |z_k| = a_k, for k not in J."""
     if not (1 <= k <= len(mode.factors)):
         raise InvalidArgumentError(f"variable index {k} out of range")
     if k in set(mode.J):
         raise InvalidArgumentError(f"variable {k} lies in J; the dbar condition applies off J")
-    return abs(factor_dbar_boundary(mode.factors[k - 1], theta, cfg))
+    return abs(factor_dbar_boundary(mode.factors[k - 1], theta))

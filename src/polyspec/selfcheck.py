@@ -1,47 +1,32 @@
-"""Runtime verification suites behind the command-line `verify` command.
+"""Correctness checks behind both `polyspec verify` and the acceptance tests.
 
-Each suite re-runs a condensed version of the package's correctness
-arguments (identities, certified zeros, boundary residuals, oracle
-agreement, FD convergence) with a deterministic seed and reports one
-named pass/fail entry per check.  These are smoke-level repetitions of
-the full test suite, sized to finish in seconds.
+Each `check_*` function re-runs some of the package's correctness arguments
+(identities, certified zeros, residuals, oracle agreement, FD convergence)
+on the workload given as its arguments, after the random generator and the
+zero cache that every check takes, and returns named `CheckResult`s.  A
+check fails, and says why, when a value it samples is NaN or infinite or
+when it samples nothing.  `SUITES` holds verify's small workloads.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import (
-    BoundaryCondition,
-    FormPoint,
-    Polydisc,
-    ZeroCache,
-    bessel_j,
-    bessel_j_prime,
-    bessel_j_second,
-    bottom,
-    brute_force_spectrum,
-    dbar_boundary_residual,
-    dirichlet_factors,
-    enumerate_modes,
-    eval_coefficient,
-    fd_convergence_report,
-    holomorphic_factor,
-    j0_bracket,
-    laplacian_residual,
-    mode_descriptor,
-    neumann_factors,
-    oracle_bessel_j,
-    robin_residual,
-)
-from .disc_modes import ModeFactor
+from .bessel import bessel_j, bessel_j_prime, bessel_j_second, oracle_bessel_j
+from .disc_modes import dirichlet_factors, holomorphic_factor, neumann_factors, robin_residual
+from .eigenforms import FormPoint, dbar_boundary_residual, eval_coefficient, laplacian_residual
 from .errors import InvalidArgumentError, PolyspecError
+from .spectrum import Polydisc, assemble_spectrum, bottom, enumerate_modes, mode_descriptor
+from .verify import BoundaryCondition, brute_force_spectrum, fd_convergence_report
+from .verify import sufficient_bounds
+from .zeros import ZeroCache, j0_bracket
 
-__all__ = ["CheckResult", "SUITES", "run_suite", "run_suites"]
+__all__ = ["CheckResult", "SUITES", "run_checks", "run_suite", "run_suites"]
 
 
 @dataclass(frozen=True)
@@ -51,221 +36,267 @@ class CheckResult:
     detail: str
 
 
-def _check(results: list[CheckResult], name: str, passed: bool, detail: str) -> None:
-    results.append(CheckResult(name, bool(passed), detail))
+def _holds(name: str, values, holds: bool, detail: str = "") -> CheckResult:
+    """`holds` decides, unless `values` is empty or has a NaN or an inf."""
+    v = np.asarray(values, dtype=float)
+    bad = v.size - int(np.count_nonzero(np.isfinite(v)))
+    if bad or not v.size:
+        why = f"{bad} of {v.size} values not finite" if bad else "no values sampled"
+        return CheckResult(name, False, why)
+    return CheckResult(name, bool(holds), detail)
 
 
-def suite_bessel(seed: int, cache: ZeroCache) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
-    out: list[CheckResult] = []
+def _max_below(name: str, values, tol: float, label: str = "max") -> CheckResult:
+    worst = max(values, default=math.nan)
+    return _holds(name, values, worst < tol, f"{label} {worst:.3g}")
 
-    worst = 0.0
-    for _ in range(20):
-        m = int(rng.integers(0, 40))
-        z = float(rng.uniform(0.0, 80.0))
-        worst = max(worst, abs(bessel_j(-m, z) - (-1.0) ** m * bessel_j(m, z)))
-    _check(out, "parity J_(-m) = (-1)^m J_m", worst == 0.0, f"max abs dev {worst:g}")
 
-    worst = 0.0
-    for _ in range(30):
-        m = int(rng.integers(0, 31))
-        z = float(rng.uniform(1e-3, 60.0))
-        res = abs(m * bessel_j(m, z) - 0.5 * z * (bessel_j(m + 1, z) + bessel_j(m - 1, z)))
-        worst = max(worst, res)
-    _check(out, "three-term recurrence residual < 1e-10", worst < 1e-10, f"max {worst:.3g}")
+def _close(value: float, expected: float, rel: float) -> bool:
+    """Closeness as `pytest.approx(expected, rel=rel)` judges it: floor 1e-12."""
+    return abs(value - expected) <= max(rel * abs(expected), 1e-12)
 
-    worst = 0.0
-    for _ in range(30):
-        m = int(rng.integers(0, 31))
-        z = float(rng.uniform(0.5, 60.0))
-        res = abs(
-            bessel_j_second(m, z)
-            + bessel_j_prime(m, z) / z
-            + (1.0 - m * m / (z * z)) * bessel_j(m, z)
-        )
-        worst = max(worst, res)
-    _check(out, "Bessel-equation residual < 1e-9", worst < 1e-9, f"max {worst:.3g}")
 
-    z = 5.0
-    worst = 0.0
-    for i in range(8):
-        t = cmath.exp(2j * math.pi * (i + 0.3) / 8)
-        total = sum(t**m * bessel_j(m, z) for m in range(-60, 61))
-        worst = max(worst, abs(total - cmath.exp(0.5 * z * (t - 1.0 / t))))
-    _check(out, "generating-function identity < 1e-10", worst < 1e-10, f"max {worst:.3g}")
+def _draws(rng, samples: int, orders: int, z_range: tuple[float, float]):
+    """`samples` pairs (m, z): m uniform in [0, orders), then z in z_range."""
+    return [(int(rng.integers(0, orders)), float(rng.uniform(*z_range))) for _ in range(samples)]
 
+
+def check_parity(rng, cache: ZeroCache, samples: int) -> list[CheckResult]:
+    devs = [
+        abs(bessel_j(-m, z) - (-1.0) ** m * bessel_j(m, z))
+        for m, z in _draws(rng, samples, 40, (0.0, 80.0))
+    ]
+    # below the least positive double: the deviations must all be exactly 0
+    return [_max_below("parity J_(-m) = (-1)^m J_m", devs, math.ulp(0.0), "max abs dev")]
+
+
+def check_identities(rng, cache: ZeroCache, samples, zs, points, integral_samples):
+    """Residuals of Bessel identities: the three-term recurrence and Bessel's
+    equation at `samples` draws each, sum_m t^m J_m(z) = exp(z (t - 1/t) / 2)
+    at `points` points t of the unit circle for each z in `zs`, and the
+    integral representation at `integral_samples` draws."""
+    recurrence = [
+        abs(m * bessel_j(m, z) - 0.5 * z * (bessel_j(m + 1, z) + bessel_j(m - 1, z)))
+        for m, z in _draws(rng, samples, 31, (1e-6, 60.0))
+    ]
+    equation = []
+    for m, z in _draws(rng, samples, 31, (0.3, 60.0)):
+        lhs = bessel_j_second(m, z) + bessel_j_prime(m, z) / z
+        equation.append(abs(lhs + (1.0 - m * m / (z * z)) * bessel_j(m, z)))
+    generating = []
+    for z in zs:
+        for i in range(points):
+            t = cmath.exp(2j * math.pi * (i + 0.5) / points)
+            total = sum(t**m * bessel_j(m, z) for m in range(-60, 61))
+            generating.append(abs(total - cmath.exp(0.5 * z * (t - 1.0 / t))))
     theta = 2.0 * math.pi * np.arange(2048) / 2048
-    worst = 0.0
-    for m, z in ((0, 7.0), (3, 12.5), (10, 30.0)):
-        quad = float(np.mean(np.cos(m * theta - z * np.sin(theta))))
-        worst = max(worst, abs(quad - bessel_j(m, z)))
-    _check(out, "integral representation < 1e-9", worst < 1e-9, f"max {worst:.3g}")
+    integral = [
+        abs(float(np.mean(np.cos(m * theta - z * np.sin(theta)))) - bessel_j(m, z))
+        for m, z in _draws(rng, integral_samples, 11, (0.0, 30.0))
+    ]
+    return [
+        _max_below("three-term recurrence residual < 1e-10", recurrence, 1e-10),
+        _max_below("Bessel-equation residual < 1e-9", equation, 1e-9),
+        _max_below("generating-function identity < 1e-10", generating, 1e-10),
+        _max_below("integral representation < 1e-9", integral, 1e-9),
+    ]
 
-    worst = 0.0
+
+def check_oracle_agreement(rng, cache: ZeroCache) -> list[CheckResult]:
+    errs = []
     for m, z in ((0, 2.0), (1, 1.0), (5, 1.0), (7, 25.0), (0, 40.0)):
         ref = float(oracle_bessel_j(m, z, 30))
-        err = abs(bessel_j(m, z) - ref) / max(abs(ref), 1e-13)
-        worst = max(worst, err)
-    _check(out, "agreement with arbitrary-precision oracle", worst < 1e-12, f"max rel {worst:.3g}")
-    return out
+        errs.append(abs(bessel_j(m, z) - ref) / max(abs(ref), 1e-13))
+    return [_max_below("agreement with arbitrary-precision oracle", errs, 1e-12, "max rel")]
 
 
-def suite_zeros(seed: int, cache: ZeroCache) -> list[CheckResult]:
-    out: list[CheckResult] = []
-    ok = True
-    for k in range(10):
-        lo, hi = j0_bracket(k)
+def check_zeros(rng, cache: ZeroCache, count: int, up_to: int) -> list[CheckResult]:
+    """The first `count` J_0 zeros lie in their a-priori brackets; for orders
+    m < up_to and indices j < up_to the zeros interlace and J_m vanishes there."""
+    brackets, inside = [], True
+    for k in range(count):
+        lo, hi = (k + 0.5) * math.pi, (k + 1) * math.pi
+        blo, bhi = j0_bracket(k)
         z = cache.zero(0, k + 1)
-        ok = ok and lo < z < hi
-    _check(out, "first 10 J_0 zeros inside ((k+1/2)pi,(k+1)pi)", ok, "")
-
-    ok = True
-    for m in range(0, 8):
-        for j in range(1, 8):
-            ok = ok and cache.zero(m, j) < cache.zero(m + 1, j) < cache.zero(m, j + 1)
-    _check(out, "interlacing up to order/index 8", ok, "")
-
-    worst = 0.0
-    slope = math.inf
-    for m in range(0, 8):
-        for j in range(1, 8):
-            lam = cache.zero(m, j)
-            worst = max(worst, abs(bessel_j(m, lam)))
-            slope = min(slope, abs(bessel_j_prime(m, lam)))
-    _check(out, "|J_m| < 1e-11 at cached zeros", worst < 1e-11, f"max {worst:.3g}")
-    _check(out, "zeros are simple (|J'_m| > 1e-3)", slope > 1e-3, f"min {slope:.3g}")
-    _check(
-        out,
-        "negative order reduces to |m|",
-        cache.zero(-3, 2) == cache.zero(3, 2),
-        "",
-    )
-    return out
+        brackets += [blo, bhi, z]
+        inside = inside and lo < z < hi and _close(blo, lo, 1e-6) and _close(bhi, hi, 1e-6)
+    triples = [
+        (cache.zero(m, j), cache.zero(m + 1, j), cache.zero(m, j + 1))
+        for m in range(up_to)
+        for j in range(1, up_to)
+    ]
+    interlaced = all(a < b < c for a, b, c in triples)
+    res = [abs(bessel_j(m, cache.zero(m, j))) for m in range(up_to) for j in range(1, up_to)]
+    return [
+        _holds(f"first {count} J_0 zeros inside ((k+1/2)pi,(k+1)pi)", brackets, inside),
+        _holds(f"interlacing up to order/index {up_to}", triples, interlaced),
+        _max_below("|J_m| < 1e-11 at cached zeros", res, 1e-11),
+    ]
 
 
-def suite_modes(seed: int, cache: ZeroCache) -> list[CheckResult]:
-    out: list[CheckResult] = []
+def check_simple_zeros(rng, cache: ZeroCache, up_to: int) -> list[CheckResult]:
+    """|J'_m| stays clear of 0 at the zeros below `up_to`; negative orders share |m|'s zeros."""
+    slopes = [
+        abs(bessel_j_prime(m, cache.zero(m, j))) for m in range(up_to) for j in range(1, up_to)
+    ]
+    least = min(slopes, default=math.nan)
+    pair = [cache.zero(-3, 2), cache.zero(3, 2)]
+    return [
+        _holds("zeros are simple (|J'_m| > 1e-3)", slopes, least > 1e-3, f"min {least:.3g}"),
+        _holds("negative order reduces to |m|", pair, pair[0] == pair[1]),
+    ]
+
+
+def check_disc_factors(rng, cache: ZeroCache) -> list[CheckResult]:
     facs = dirichlet_factors(1.0, 6.0, cache)
-    _check(
-        out,
-        "Dirichlet factors on unit disc below 6",
-        len(facs) == 1
-        and facs[0].angular_order == 0
-        and abs(facs[0].lambda_k - 5.783185962946785) < 1e-10,
-        f"got {len(facs)} factors",
-    )
+    lams = [f.lambda_k for f in facs]
+    one = len(facs) == 1 and facs[0].angular_order == 0
+    one = one and abs(lams[0] - 5.783185962946785) < 1e-10
+    out = [_holds("Dirichlet factors on unit disc below 6", lams, one, f"got {len(facs)} factors")]
     nfac = neumann_factors(1.0, 20.0, cache)
-    worst = max(robin_residual(f) for f in nfac)
-    _check(out, "Robin residual < 1e-10 at construction", worst < 1e-10, f"max {worst:.3g}")
+    residuals = [robin_residual(f) for f in nfac]
+    out.append(_max_below("Robin residual < 1e-10 at construction", residuals, 1e-10))
     f0 = nfac[0]
-    perturbed = ModeFactor(f0.kind, f0.angular_order, f0.radial_index, f0.radius, f0.lambda_k * 1.01)
-    _check(
-        out,
-        "Robin residual detects 1% eigenvalue perturbation",
-        robin_residual(perturbed) > 1e-3,
-        f"residual {robin_residual(perturbed):.3g}",
-    )
+    res = robin_residual(replace(f0, lambda_k=f0.lambda_k * 1.01))
+    name = "Robin residual detects 1% eigenvalue perturbation"
+    out.append(_holds(name, [res], res > 1e-3, f"residual {res:.3g}"))
     try:
         holomorphic_factor(-1, 1.0)
         rejected = False
     except InvalidArgumentError:
         rejected = True
-    _check(out, "negative monomial exponent rejected", rejected, "")
+    out.append(CheckResult("negative monomial exponent rejected", rejected, ""))
     return out
 
 
-def suite_spectrum_oracle(seed: int, cache: ZeroCache) -> list[CheckResult]:
-    out: list[CheckResult] = []
-    for radii in ((1.0, 1.0), (1.0, math.sqrt(2.0))):
+def check_eigenform_residuals(rng, cache: ZeroCache, lam_max, interior, boundary):
+    """Every 1-form mode of the unit bidisc below `lam_max`: the eigenvalue
+    equation at `interior` points, and at `boundary` points of each circle
+    |z_k| = 1 the Dirichlet condition (k in J) or the dbar condition."""
+    pde, dirichlet, dbar = [], [], []
+    for mode in enumerate_modes(Polydisc((1.0, 1.0)), 1, lam_max, cache):
+        for _ in range(interior):
+            p = FormPoint.from_polar(rng.uniform(0.02, 0.98, 2), rng.uniform(0.0, 2 * math.pi, 2))
+            pde.append(laplacian_residual(mode, p))
+        for k in (1, 2):
+            if k in mode.J:
+                for theta_pair in rng.uniform(0.0, 2 * math.pi, (boundary, 2)):
+                    r = [float(rng.uniform(0.1, 0.9)), float(rng.uniform(0.1, 0.9))]
+                    r[k - 1] = 1.0
+                    p = FormPoint.from_polar(r, theta_pair)
+                    dirichlet.append(abs(eval_coefficient(mode, p)))
+            else:
+                for theta in rng.uniform(0.0, 2 * math.pi, boundary):
+                    dbar.append(dbar_boundary_residual(mode, k, float(theta)))
+    return [
+        _max_below("eigenvalue-equation residual < 1e-8", pde, 1e-8),
+        _max_below("Dirichlet boundary values < 1e-11", dirichlet, 1e-11),
+        _max_below("dbar boundary residuals < 1e-10", dbar, 1e-10),
+    ]
+
+
+def check_enumeration_oracle(rng, cache: ZeroCache, radii_sets, lam_max) -> list[CheckResult]:
+    """Every q-form mode below `lam_max`, value and descriptor, against brute
+    force inside certified index bounds, for each 1 <= q < n."""
+    out = []
+    for radii in radii_sets:
         P = Polydisc(radii)
-        modes = enumerate_modes(P, 1, 10.0, cache)
-        ours = sorted((m.value, mode_descriptor(m)) for m in modes)
-        oracle = sorted(
-            (v, d) for v, d in brute_force_spectrum(P, 1, 10.0, 8, 4, cache)
-        )
-        same = len(ours) == len(oracle) and all(
-            abs(a[0] - b[0]) < 1e-10 and a[1] == b[1] for a, b in zip(ours, oracle)
-        )
-        _check(
-            out,
-            f"enumeration equals brute force on radii {radii}",
-            same,
-            f"{len(ours)} vs {len(oracle)} modes",
-        )
-        val, J = bottom(P, 1, cache)
-        first = min(modes, key=lambda m: m.value)
-        _check(
-            out,
-            f"closed-form bottom matches enumeration on radii {radii}",
-            abs(val - first.value) < 1e-12 * val and first.has_holomorphic,
-            f"bottom {val:.12g}",
-        )
+        m_bound, j_bound = sufficient_bounds(P, lam_max, cache)
+        for q in range(1, P.n):
+            ours = sorted(
+                (m.value, mode_descriptor(m)) for m in enumerate_modes(P, q, lam_max, cache)
+            )
+            oracle = sorted(brute_force_spectrum(P, q, lam_max, m_bound, j_bound, cache))
+            same = len(ours) == len(oracle) and all(
+                abs(v1 - v2) < 1e-10 and d1 == d2 for (v1, d1), (v2, d2) in zip(ours, oracle)
+            )
+            name = f"enumeration equals brute force on radii {radii}, q={q}"
+            values = [v for v, _ in ours + oracle]
+            out.append(_holds(name, values, same, f"{len(ours)} vs {len(oracle)} modes"))
     return out
 
 
-def suite_forms(seed: int, cache: ZeroCache) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
-    out: list[CheckResult] = []
-    P = Polydisc((1.0, 1.0))
-    modes = enumerate_modes(P, 1, 8.0, cache)
-    worst_pde = 0.0
-    worst_dir = 0.0
-    worst_dbar = 0.0
-    for mode in modes:
-        for _ in range(5):
-            pt = FormPoint.from_polar(rng.uniform(0.05, 0.95, 2), rng.uniform(0, 2 * math.pi, 2))
-            worst_pde = max(worst_pde, laplacian_residual(mode, pt))
-        for k in mode.J:
-            r = [0.5, 0.5]
-            r[k - 1] = 1.0
-            pt = FormPoint.from_polar(r, rng.uniform(0, 2 * math.pi, 2))
-            worst_dir = max(worst_dir, abs(eval_coefficient(mode, pt)))
-        for k in range(1, 3):
-            if k not in mode.J:
-                worst_dbar = max(
-                    worst_dbar, dbar_boundary_residual(mode, k, float(rng.uniform(0, 2 * math.pi)))
-                )
-    _check(out, "eigenvalue-equation residual < 1e-8", worst_pde < 1e-8, f"max {worst_pde:.3g}")
-    _check(out, "Dirichlet boundary values < 1e-11", worst_dir < 1e-11, f"max {worst_dir:.3g}")
-    _check(out, "dbar boundary residuals < 1e-10", worst_dbar < 1e-10, f"max {worst_dbar:.3g}")
-    return out
+def check_closed_form_bottom(rng, cache: ZeroCache, samples: int) -> list[CheckResult]:
+    """On random polydiscs (n = 2..4, radii in [0.4, 3), random q), `bottom` is
+    the least lambda_{0,1}^2/4 * sum_{k in J} 1/a_k^2 over q-subsets J and the
+    first spectral point, of infinite multiplicity."""
+    lam01_sq = cache.zero(0, 1) ** 2
+    values, wrong = [], []
+    for _ in range(samples):
+        n = int(rng.integers(2, 5))
+        radii = tuple(float(rng.uniform(0.4, 3.0)) for _ in range(n))
+        q = int(rng.integers(1, n))
+        P = Polydisc(radii)
+        val, _ = bottom(P, q, cache)
+        best = min(
+            0.25 * lam01_sq * sum(1.0 / radii[k - 1] ** 2 for k in J)
+            for J in itertools.combinations(range(1, n + 1), q)
+        )
+        head = []
+        if _close(val, best, 1e-12):
+            head = assemble_spectrum(P, q, val * 1.02, cache=cache)[:1]
+        first = [(p.value, p.infinite) for p in head]
+        values += [val, best] + [v for v, _ in first]
+        if not (first and _close(first[0][0], val, 1e-12) and first[0][1]):
+            wrong.append(f"radii {radii} q={q}: bottom {val!r}, closed form {best!r}: {first}")
+    name = "closed-form bottom is the first point, of infinite multiplicity"
+    return [_holds(name, values, not wrong, wrong[0] if wrong else f"{samples} polydiscs")]
 
 
-def suite_fd(seed: int, cache: ZeroCache) -> list[CheckResult]:
-    out: list[CheckResult] = []
-    for m in (-1, 0, 1):
-        for bc in (BoundaryCondition.DIRICHLET, BoundaryCondition.DBAR_NEUMANN):
-            rep = fd_convergence_report(m, bc, 1.0, 2, cache, grid_sizes=(500, 1000, 2000))
-            slopes_ok = all(
-                abs(s - 2.0) <= 0.3 for e in rep["eigenvalues"] for s in e["slopes"]
+def check_fd_convergence(rng, cache: ZeroCache, orders, count, grid_sizes, richardson_tol):
+    """FD radial eigenvalues on the unit disc per order m and boundary
+    condition: order-2 error decay and Richardson agreement.  The dbar-Neumann
+    problem has a zero mode exactly when m >= 0, and its least eigenvalue is
+    the first positive closed form otherwise."""
+    out = []
+    for m, bc in itertools.product(orders, BoundaryCondition):
+        rep = fd_convergence_report(m, bc, 1.0, count, cache, grid_sizes=grid_sizes)
+        eigs = rep["eigenvalues"]
+        slopes = [s for e in eigs for s in e["slopes"]]
+        rich = [e["richardson_rel_error"] for e in eigs]
+        zero_mode = list((rep["zero_mode"] or {}).values())
+        coarsest, first_positive = eigs[0]["fd"][grid_sizes[0]], eigs[0]["exact"]
+        ok = all(abs(s - 2.0) <= 0.3 for s in slopes) and all(r < richardson_tol for r in rich)
+        if bc is BoundaryCondition.DBAR_NEUMANN:
+            ok = ok and rep["zero_mode_expected"] == (m >= 0) and (
+                all(abs(v) < 1e-3 * first_positive for v in zero_mode)
+                if m >= 0
+                else coarsest > 0.5 * first_positive
             )
-            rich_ok = all(e["richardson_rel_error"] < 1e-5 for e in rep["eigenvalues"])
-            zero_ok = True
-            if bc is BoundaryCondition.DBAR_NEUMANN:
-                if m >= 0:
-                    zero_ok = rep["zero_mode_expected"] and all(
-                        abs(v) < 1e-3 * rep["eigenvalues"][0]["exact"]
-                        for v in rep["zero_mode"].values()
-                    )
-                else:
-                    zero_ok = not rep["zero_mode_expected"]
-            _check(
-                out,
-                f"FD convergence m={m} bc={bc.value}",
-                slopes_ok and rich_ok and zero_ok,
-                "order-2 decay and Richardson agreement",
-            )
+        detail = f"slopes {', '.join(f'{s:.3g}' for s in slopes)}; Richardson {max(rich):.3g}"
+        values = slopes + rich + zero_mode + [coarsest]
+        out.append(_holds(f"FD convergence m={m} bc={bc.value}", values, ok, detail))
     return out
 
 
 SUITES = {
-    "bessel": suite_bessel,
-    "zeros": suite_zeros,
-    "modes": suite_modes,
-    "spectrum-oracle": suite_spectrum_oracle,
-    "forms": suite_forms,
-    "fd": suite_fd,
+    "bessel": (
+        (check_parity, dict(samples=20)),
+        (check_identities, dict(samples=30, zs=(5.0,), points=8, integral_samples=3)),
+        (check_oracle_agreement, {}),
+    ),
+    "zeros": ((check_zeros, dict(count=10, up_to=8)), (check_simple_zeros, dict(up_to=8))),
+    "modes": ((check_disc_factors, {}),),
+    "spectrum-oracle": (
+        (check_enumeration_oracle, dict(radii_sets=((1.0, 1.0), (1.0, 2.0**0.5)), lam_max=10.0)),
+        (check_closed_form_bottom, dict(samples=3)),
+    ),
+    "forms": ((check_eigenform_residuals, dict(lam_max=8.0, interior=5, boundary=1)),),
+    "fd": (
+        (
+            check_fd_convergence,
+            dict(orders=(-1, 0, 1), count=2, grid_sizes=(500, 1000, 2000), richardson_tol=1e-5),
+        ),
+    ),
 }
+
+
+def run_checks(rng, cache: ZeroCache, workloads) -> list[CheckResult]:
+    """Run each (check, workload) pair in turn; a check that reports nothing fails."""
+    out: list[CheckResult] = []
+    for check, workload in workloads:
+        out += check(rng, cache, **workload) or [CheckResult(check.__name__, False, "no results")]
+    return out
 
 
 def run_suite(name: str, seed: int = 0, cache: ZeroCache | None = None) -> dict:
@@ -275,7 +306,7 @@ def run_suite(name: str, seed: int = 0, cache: ZeroCache | None = None) -> dict:
     if cache is None:
         cache = ZeroCache()
     try:
-        checks = SUITES[name](seed, cache)
+        checks = run_checks(np.random.default_rng(seed), cache, SUITES[name])
     except PolyspecError as exc:  # a suite must never die silently
         checks = [CheckResult(f"{name} suite execution", False, f"{type(exc).__name__}: {exc}")]
     return {

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import DEFAULT_CONFIG, EvalConfig, bessel_j, bessel_j_many
+from .bessel import bessel_j, bessel_j_many
 from .disc_modes import FactorKind, ModeFactor, holomorphic_factor
 from .eigenforms import FormPoint, _coefficient, _factor_value
 from .errors import InvalidArgumentError, InvariantViolationError
@@ -135,7 +135,7 @@ def sampled_norm_sq(F: np.ndarray, P: Polydisc, quad_nodes: int, angular_nodes: 
     return float(np.sum(W * np.abs(F) ** 2))
 
 
-def _factor_norm_sq(f: ModeFactor, cfg: EvalConfig) -> float:
+def _factor_norm_sq(f: ModeFactor) -> float:
     """2 pi times the closed-form squared radial norm of one factor."""
     a = f.radius
     if f.kind is FactorKind.HOLOMORPHIC:
@@ -144,9 +144,9 @@ def _factor_norm_sq(f: ModeFactor, cfg: EvalConfig) -> float:
     else:
         x = math.sqrt(f.lambda_k) * a
         if f.kind is FactorKind.DIRICHLET:
-            edge = bessel_j(abs(f.angular_order) + 1, x, cfg)
+            edge = bessel_j(abs(f.angular_order) + 1, x)
         else:
-            edge = bessel_j(f.angular_order, x, cfg)
+            edge = bessel_j(f.angular_order, x)
         radial = 0.5 * a * a * edge * edge
     return 2.0 * math.pi * radial
 
@@ -156,7 +156,7 @@ def _profile_order(f: ModeFactor) -> int:
     return abs(f.angular_order) if f.kind is FactorKind.DIRICHLET else f.angular_order
 
 
-def _factor_norms(factors, cfg: EvalConfig) -> dict[ModeFactor, float]:
+def _factor_norms(factors) -> dict[ModeFactor, float]:
     """`_factor_norm_sq` of each distinct factor, computed once per profile
     (the Dirichlet pair +-m has one)."""
     by_profile: dict[tuple, float] = {}
@@ -165,14 +165,14 @@ def _factor_norms(factors, cfg: EvalConfig) -> dict[ModeFactor, float]:
         if f not in out:
             key = (f.kind, _profile_order(f), f.lambda_k, f.radius)
             if key not in by_profile:
-                by_profile[key] = _factor_norm_sq(f, cfg)
+                by_profile[key] = _factor_norm_sq(f)
             out[f] = by_profile[key]
     return out
 
 
-def mode_norm_sq(mode: EigenMode, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def mode_norm_sq(mode: EigenMode) -> float:
     """Closed-form squared L^2 norm of the mode's coefficient."""
-    return math.prod(_factor_norm_sq(f, cfg) for f in mode.factors)
+    return math.prod(_factor_norm_sq(f) for f in mode.factors)
 
 
 def _materialize_holomorphic(modes: list[EigenMode], p_max: int) -> list[EigenMode]:
@@ -194,9 +194,7 @@ def _materialize_holomorphic(modes: list[EigenMode], p_max: int) -> list[EigenMo
     return out
 
 
-def _factor_grids(
-    factors: list[ModeFactor], r: np.ndarray, theta: np.ndarray, cfg: EvalConfig
-) -> np.ndarray:
+def _factor_grids(factors: list[ModeFactor], r: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """The factors' values on the polar grid, stacked as (factor, r, theta).
 
     All oscillatory profiles come from one row-wise `bessel_j_many` call
@@ -210,7 +208,7 @@ def _factor_grids(
             bessel_rows.setdefault((_profile_order(f), f.lambda_k), len(bessel_rows))
     if bessel_rows:
         s = np.array([math.sqrt(lam) for _, lam in bessel_rows])
-        profiles = bessel_j_many([o for o, _ in bessel_rows], s[:, None] * r[None, :], cfg)
+        profiles = bessel_j_many([o for o, _ in bessel_rows], s[:, None] * r[None, :])
     phases: dict[int, np.ndarray] = {}
     radial = []
     for f in factors:
@@ -235,7 +233,6 @@ def expand_from_samples(
     quad_nodes: int = 64,
     angular_nodes: int = 32,
     p_max: int = 16,
-    cfg: EvalConfig = DEFAULT_CONFIG,
 ) -> Expansion:
     """Expansion of pre-sampled data on the canonical quadrature grid."""
     J = tuple(int(k) for k in J)
@@ -277,10 +274,10 @@ def expand_from_samples(
         r, wr = radial_quadrature(P.radii[k], quad_nodes)
         theta, wt = angular_quadrature(angular_nodes)
         weight = np.multiply.outer(wr * r, wt)
-        stack = np.conj(_factor_grids(per_var_factors[k], r, theta, cfg)) * weight
+        stack = np.conj(_factor_grids(per_var_factors[k], r, theta)) * weight
         G = np.tensordot(G, stack, axes=([0, 1], [1, 2]))
 
-    norms = _factor_norms((f for fs in per_var_factors for f in fs), cfg)
+    norms = _factor_norms(f for fs in per_var_factors for f in fs)
     terms = []
     for mode in modes:
         idx = tuple(per_var_index[k][mode.factors[k]] for k in range(P.n))
@@ -300,7 +297,6 @@ def expand(
     quad_nodes: int = 64,
     angular_nodes: int = 32,
     p_max: int = 16,
-    cfg: EvalConfig = DEFAULT_CONFIG,
 ) -> Expansion:
     """Project a coefficient function onto the eigenbasis below the cutoff.
 
@@ -310,7 +306,7 @@ def expand(
     """
     F = sample_on_grid(f, P, quad_nodes, angular_nodes)
     return expand_from_samples(
-        F, P, q, J, truncation_lambda, cache, quad_nodes, angular_nodes, p_max, cfg
+        F, P, q, J, truncation_lambda, cache, quad_nodes, angular_nodes, p_max
     )
 
 
@@ -334,7 +330,7 @@ def apply_inverse(x: Expansion) -> Expansion:
     )
 
 
-def synthesize(x: Expansion, p: FormPoint, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
+def synthesize(x: Expansion, p: FormPoint) -> complex:
     """Pointwise value of the expansion's coefficient function.
 
     Equal, bit for bit, to sum(c * eval_coefficient(mode, p)) over the
@@ -345,15 +341,15 @@ def synthesize(x: Expansion, p: FormPoint, cfg: EvalConfig = DEFAULT_CONFIG) -> 
     def value(k: int, f: ModeFactor, r: float, theta: float) -> complex:
         v = values.get((k, f))
         if v is None:
-            v = values[(k, f)] = _factor_value(f, r, theta, cfg)
+            v = values[(k, f)] = _factor_value(f, r, theta)
         return v
 
     return sum((c * _coefficient(m, p, value) for m, c in x.terms), complex(0.0))
 
 
-def expansion_norm(x: Expansion, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def expansion_norm(x: Expansion) -> float:
     """L^2 norm of the expansion, sqrt(sum |c|^2 ||e||^2)."""
-    norms = _factor_norms((f for m, _ in x.terms for f in m.factors), cfg)
+    norms = _factor_norms(f for m, _ in x.terms for f in m.factors)
     return math.sqrt(
         sum(abs(c) ** 2 * math.prod(norms[f] for f in m.factors) for m, c in x.terms)
     )

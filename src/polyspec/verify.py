@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import DEFAULT_CONFIG, EvalConfig, bessel_j_many
+from .bessel import bessel_j_many
 from .errors import (
     InternalConsistencyError,
     InvalidArgumentError,
@@ -184,7 +184,6 @@ def quad_inner_product(
     k: int,
     cache: ZeroCache,
     nodes: int = 256,
-    cfg: EvalConfig = DEFAULT_CONFIG,
 ) -> float:
     """Gauss-Legendre value of int_0^1 r J_m(l_{m,j} r) J_m(l_{m,k} r) dr.
 
@@ -201,8 +200,8 @@ def quad_inner_product(
     wr = 0.5 * w
     lj = cache.zero(m, j)
     lk = cache.zero(m, k)
-    fj = bessel_j_many(m, lj * r, cfg)
-    fk = fj if k == j else bessel_j_many(m, lk * r, cfg)
+    fj = bessel_j_many(m, lj * r)
+    fk = fj if k == j else bessel_j_many(m, lk * r)
     return float(np.sum(wr * r * fj * fk))
 
 
@@ -211,7 +210,6 @@ def radial_basis_gram(
     size: int,
     cache: ZeroCache,
     nodes: int = 384,
-    cfg: EvalConfig = DEFAULT_CONFIG,
 ) -> np.ndarray:
     """Gram matrix (weight r on [0,1]) of {r^m} + {J_m(l_{m+1,j} r)}_{j<size}.
 
@@ -229,7 +227,7 @@ def radial_basis_gram(
     basis = [r**m]
     for j in range(1, size):
         lam = cache.zero(m + 1, j)
-        basis.append(bessel_j_many(m, lam * r, cfg))
+        basis.append(bessel_j_many(m, lam * r))
     gram = np.empty((size, size))
     for i in range(size):
         for j2 in range(i, size):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import threading
 
-from .bessel import DEFAULT_CONFIG, MAX_ARGUMENT, EvalConfig, bessel_j, bessel_j_prime
+from .bessel import MAX_ARGUMENT, bessel_j, bessel_j_prime
 from .errors import InternalConsistencyError, InvalidArgumentError, UnsupportedRangeError
 
 __all__ = [
@@ -40,7 +40,7 @@ _MAX_NEWTON = 8
 _WIDTH_TOL = 1e-13
 
 
-def j0_bracket(k: int, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple[float, float]:
+def j0_bracket(k: int) -> tuple[float, float]:
     """Return the a-priori bracket ((k+1/2)pi, (k+1)pi) around the (k+1)-th J_0 zero.
 
     The sign change of J_0 across the interval is checked explicitly.
@@ -53,7 +53,7 @@ def j0_bracket(k: int, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple[float, float]:
         raise UnsupportedRangeError(
             f"J_0 zero #{k + 1} needs evaluations beyond z = {MAX_ARGUMENT}"
         )
-    if bessel_j(0, lo, cfg) * bessel_j(0, hi, cfg) >= 0.0:
+    if bessel_j(0, lo) * bessel_j(0, hi) >= 0.0:
         raise InternalConsistencyError(f"no sign change of J_0 on bracket #{k}")
     return lo, hi
 
@@ -66,10 +66,9 @@ class ZeroCache:
     on-demand and monotone; nothing is ever invalidated.
     """
 
-    def __init__(self, cfg: EvalConfig = DEFAULT_CONFIG, width_tol: float = _WIDTH_TOL):
+    def __init__(self, width_tol: float = _WIDTH_TOL):
         if not (width_tol > 0.0):
             raise InvalidArgumentError("width_tol must be positive")
-        self._cfg = cfg
         self._width_tol = width_tol
         self._lock = threading.RLock()
         self._table: dict[tuple[int, int], tuple[float, tuple[float, float]]] = {}
@@ -149,7 +148,7 @@ class ZeroCache:
 
     def _compute(self, m: int, j: int) -> None:
         if m == 0:
-            lo, hi = j0_bracket(j - 1, self._cfg)
+            lo, hi = j0_bracket(j - 1)
         else:
             lo = self._table[(m - 1, j)][0]
             hi = self._table[(m - 1, j + 1)][0]
@@ -157,9 +156,8 @@ class ZeroCache:
         self._table[(m, j)] = (value, enclosure)
 
     def _refine(self, m: int, lo: float, hi: float) -> tuple[float, tuple[float, float]]:
-        cfg = self._cfg
-        flo = bessel_j(m, lo, cfg)
-        fhi = bessel_j(m, hi, cfg)
+        flo = bessel_j(m, lo)
+        fhi = bessel_j(m, hi)
         if flo == 0.0 or fhi == 0.0 or (flo > 0.0) == (fhi > 0.0):
             raise InternalConsistencyError(
                 f"bracket ({lo}, {hi}) shows no sign change for J_{m}"
@@ -171,7 +169,7 @@ class ZeroCache:
             mid = 0.5 * (lo + hi)
             if mid <= lo or mid >= hi:
                 break  # interval at float resolution
-            fmid = bessel_j(m, mid, cfg)
+            fmid = bessel_j(m, mid)
             if fmid == 0.0:
                 lo = hi = mid
                 break
@@ -181,8 +179,8 @@ class ZeroCache:
                 hi, fhi = mid, fmid
         x = 0.5 * (lo + hi)
         for _ in range(_MAX_NEWTON):
-            f = bessel_j(m, x, cfg)
-            df = bessel_j_prime(m, x, cfg)
+            f = bessel_j(m, x)
+            df = bessel_j_prime(m, x)
             if df == 0.0:
                 break
             step = f / df

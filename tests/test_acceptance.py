@@ -1,13 +1,16 @@
 """Acceptance gate: one test per criterion, stated tolerances, timed budgets.
 
+Criteria 1, 2 and 4-7 run the checks of `polyspec.selfcheck` that
+`polyspec verify` runs, on the full workloads given here (seeds, sample
+counts, orders, radii, cutoffs); each passes when every result it got
+passed.  Criteria 3 and 8 have no verify counterpart.
+
 Run with `pytest tests/test_acceptance.py -v -s` to see one line per
 criterion.  Budgets are wall-clock for the criterion's own work (the
 session-scoped zero cache may already be warm from other tests; each
 criterion stays within budget from a cold cache as well).
 """
 
-import cmath
-import itertools
 import math
 import time
 
@@ -15,28 +18,16 @@ import numpy as np
 import pytest
 
 from polyspec import (
-    BoundaryCondition,
     Expansion,
-    FormPoint,
     Polydisc,
     apply_box,
     apply_inverse,
-    assemble_spectrum,
     bessel_j,
-    bessel_j_prime,
-    bessel_j_second,
-    bottom,
-    brute_force_spectrum,
-    dbar_boundary_residual,
     enumerate_modes,
-    eval_coefficient,
     expand,
-    fd_convergence_report,
-    j0_bracket,
-    laplacian_residual,
     mode_descriptor,
     quad_inner_product,
-    sufficient_bounds,
+    selfcheck,
 )
 
 
@@ -59,49 +50,22 @@ class _Budget:
         return False
 
 
+def _assert_passed(check, rng, cache, **workload):
+    results = selfcheck.run_checks(rng, cache, [(check, workload)])
+    failed = [f"{r.name}: {r.detail}" for r in results if not r.passed]
+    assert not failed, "; ".join(failed)
+
+
 def test_criterion_1_zero_certification(cache):
     with _Budget("criterion 1 (zero certification)", 5.0):
-        for j in range(1, 21):
-            lo, hi = (j - 0.5) * math.pi, j * math.pi
-            assert lo < cache.zero(0, j) < hi
-            blo, bhi = j0_bracket(j - 1)
-            assert (blo, bhi) == pytest.approx((lo, hi))
-        for m in range(0, 21):
-            for j in range(1, 21):
-                assert cache.zero(m, j) < cache.zero(m + 1, j) < cache.zero(m, j + 1)
-        for m in range(0, 21):
-            for j in range(1, 21):
-                assert abs(bessel_j(m, cache.zero(m, j))) < 1e-11
+        _assert_passed(selfcheck.check_zeros, None, cache, count=20, up_to=21)
 
 
-def test_criterion_2_special_function_identities():
+def test_criterion_2_special_function_identities(cache):
     with _Budget("criterion 2 (special-function identities)", 10.0):
         rng = np.random.default_rng(101)
-        for _ in range(100):
-            m = int(rng.integers(0, 31))
-            z = float(rng.uniform(1e-6, 60.0))
-            assert abs(
-                m * bessel_j(m, z) - 0.5 * z * (bessel_j(m + 1, z) + bessel_j(m - 1, z))
-            ) < 1e-10
-        for _ in range(100):
-            m = int(rng.integers(0, 31))
-            z = float(rng.uniform(0.3, 60.0))
-            assert abs(
-                bessel_j_second(m, z)
-                + bessel_j_prime(m, z) / z
-                + (1.0 - m * m / (z * z)) * bessel_j(m, z)
-            ) < 1e-9
-        for z in (1.0, 5.0, 10.0):
-            for i in range(16):
-                t = cmath.exp(2j * math.pi * (i + 0.5) / 16)
-                total = sum(t**m * bessel_j(m, z) for m in range(-60, 61))
-                assert abs(total - cmath.exp(0.5 * z * (t - 1.0 / t))) < 1e-10
-        theta = 2.0 * math.pi * np.arange(2048) / 2048
-        for _ in range(25):
-            m = int(rng.integers(0, 11))
-            z = float(rng.uniform(0.0, 30.0))
-            quad = float(np.mean(np.cos(m * theta - z * np.sin(theta))))
-            assert abs(quad - bessel_j(m, z)) < 1e-9
+        workload = dict(samples=100, zs=(1.0, 5.0, 10.0), points=16, integral_samples=25)
+        _assert_passed(selfcheck.check_identities, rng, cache, **workload)
 
 
 def test_criterion_3_orthogonality(cache):
@@ -119,85 +83,29 @@ def test_criterion_3_orthogonality(cache):
 
 def test_criterion_4_fd_oracle_agreement(cache):
     with _Budget("criterion 4 (FD oracle agreement)", 60.0):
-        for m in (-2, -1, 0, 1, 2):
-            for bc in (BoundaryCondition.DIRICHLET, BoundaryCondition.DBAR_NEUMANN):
-                rep = fd_convergence_report(m, bc, 1.0, 3, cache)
-                for e in rep["eigenvalues"]:
-                    assert all(abs(s - 2.0) <= 0.3 for s in e["slopes"]), (m, bc, e["slopes"])
-                    assert e["richardson_rel_error"] < 1e-6, (m, bc)
-                if bc is BoundaryCondition.DBAR_NEUMANN:
-                    if m >= 0:
-                        assert rep["zero_mode_expected"]
-                        first_positive = rep["eigenvalues"][0]["exact"]
-                        assert all(
-                            abs(v) < 1e-3 * first_positive for v in rep["zero_mode"].values()
-                        )
-                    else:
-                        assert not rep["zero_mode_expected"]
-                        # smallest eigenvalue is the first positive closed form
-                        coarsest = rep["eigenvalues"][0]["fd"][rep["grid_sizes"][0]]
-                        assert coarsest > 0.5 * rep["eigenvalues"][0]["exact"]
+        grids = (500, 1000, 2000, 4000)
+        workload = dict(orders=(-2, -1, 0, 1, 2), count=3, grid_sizes=grids, richardson_tol=1e-6)
+        _assert_passed(selfcheck.check_fd_convergence, None, cache, **workload)
 
 
 def test_criterion_5_spectrum_oracle_equivalence(cache):
     with _Budget("criterion 5 (spectrum oracle equivalence)", 30.0):
-        lam_max = 30.0
-        for radii in ((1.0, 1.0), (1.0, math.sqrt(2.0)), (1.0, 2.0, 3.0)):
-            P = Polydisc(radii)
-            m_bound, j_bound = sufficient_bounds(P, lam_max, cache)
-            for q in range(1, P.n):
-                ours = sorted(
-                    (m.value, mode_descriptor(m)) for m in enumerate_modes(P, q, lam_max, cache)
-                )
-                oracle = sorted(brute_force_spectrum(P, q, lam_max, m_bound, j_bound, cache))
-                assert len(ours) == len(oracle), (radii, q, len(ours), len(oracle))
-                for (v1, d1), (v2, d2) in zip(ours, oracle):
-                    assert abs(v1 - v2) < 1e-10
-                    assert d1 == d2
+        radii_sets = ((1.0, 1.0), (1.0, math.sqrt(2.0)), (1.0, 2.0, 3.0))
+        workload = dict(radii_sets=radii_sets, lam_max=30.0)
+        _assert_passed(selfcheck.check_enumeration_oracle, None, cache, **workload)
 
 
 def test_criterion_6_closed_form_bottom(cache):
     with _Budget("criterion 6 (closed-form bottom)", 30.0):
         rng = np.random.default_rng(606)
-        lam01_sq = cache.zero(0, 1) ** 2
-        for _ in range(50):
-            n = int(rng.integers(2, 5))
-            radii = tuple(float(rng.uniform(0.4, 3.0)) for _ in range(n))
-            q = int(rng.integers(1, n))
-            P = Polydisc(radii)
-            val, J = bottom(P, q, cache)
-            best = min(
-                0.25 * lam01_sq * sum(1.0 / radii[k - 1] ** 2 for k in combo)
-                for combo in itertools.combinations(range(1, n + 1), q)
-            )
-            assert val == pytest.approx(best, rel=1e-12)
-            points = assemble_spectrum(P, q, val * 1.02, cache=cache)
-            assert points and points[0].value == pytest.approx(val, rel=1e-12)
-            assert points[0].infinite  # the bottom is always essential spectrum
+        _assert_passed(selfcheck.check_closed_form_bottom, rng, cache, samples=50)
 
 
 def test_criterion_7_eigenform_residuals(cache):
     with _Budget("criterion 7 (eigenform residuals)", 60.0):
         rng = np.random.default_rng(707)
-        P = Polydisc((1.0, 1.0))
-        modes = enumerate_modes(P, 1, 30.0, cache)
-        assert modes
-        for mode in modes:
-            for _ in range(50):
-                p = FormPoint.from_polar(
-                    rng.uniform(0.02, 0.98, 2), rng.uniform(0.0, 2 * math.pi, 2)
-                )
-                assert laplacian_residual(mode, p) < 1e-8
-            for k in (1, 2):
-                if k in mode.J:
-                    for theta_pair in rng.uniform(0.0, 2 * math.pi, (20, 2)):
-                        r = [float(rng.uniform(0.1, 0.9)), float(rng.uniform(0.1, 0.9))]
-                        r[k - 1] = 1.0
-                        pt = FormPoint.from_polar(r, theta_pair)
-                        assert abs(eval_coefficient(mode, pt)) < 1e-11
-                else:
-                    for theta in rng.uniform(0.0, 2 * math.pi, 20):
-                        assert dbar_boundary_residual(mode, k, float(theta)) < 1e-10
+        workload = dict(lam_max=30.0, interior=50, boundary=20)
+        _assert_passed(selfcheck.check_eigenform_residuals, rng, cache, **workload)
 
 
 def test_criterion_8_spectral_calculus(cache):

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import polyspec
-from polyspec import Polydisc, ZeroCache, dirichlet_factor
+from polyspec import Polydisc, ZeroCache, cli, dirichlet_factor, selfcheck
+from polyspec.selfcheck import SUITES
 from polyspec.gridfile import write_grid
 from polyspec.spectral_ops import sample_on_grid
 
@@ -161,6 +162,7 @@ def test_bad_flags_exit_2():
     assert run_cli("zeros", "--order", "x", "--count", "1").returncode == 2
     assert run_cli("spectrum", "--radii", "oops", "--q", "1", "--max", "1").returncode == 2
     assert run_cli("nonsense").returncode == 2
+    assert run_cli("verify", "--suite", "bessel", "--seed", "-1").returncode == 2
 
 
 def test_bottom_command():
@@ -183,6 +185,41 @@ def test_verify_table_format():
     res = run_cli("verify", "--suite", "modes", "--format", "table")
     assert res.returncode == 0
     assert "[PASS]" in res.stdout and "[FAIL]" not in res.stdout
+
+
+def test_verify_every_suite_passes_in_process(capsys):
+    assert cli.main(["verify", "--seed", "3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert sorted(s["suite"] for s in doc["suites"]) == sorted(SUITES)
+    assert all(s["checks"] and s["passed"] for s in doc["suites"])
+
+
+@pytest.mark.parametrize(
+    "patched,suite,check",
+    [
+        ("laplacian_residual", "forms", "eigenvalue-equation residual < 1e-8"),
+        ("bessel_j_second", "bessel", "Bessel-equation residual < 1e-9"),
+        ("bessel_j_prime", "zeros", "zeros are simple (|J'_m| > 1e-3)"),
+    ],
+)
+def test_non_finite_sample_fails_its_check(monkeypatch, patched, suite, check):
+    monkeypatch.setattr(selfcheck, patched, lambda *args: math.nan)
+    results = {c["name"]: c for c in selfcheck.run_suite(suite)["checks"]}
+    assert not results[check]["passed"]
+    assert "not finite" in results[check]["detail"]
+
+
+def test_run_checks_fails_a_check_that_reports_nothing():
+    results = selfcheck.run_checks(None, None, [(lambda rng, cache: [], {})])
+    assert [r.passed for r in results] == [False]
+
+
+def test_verify_exits_1_naming_the_failed_check(monkeypatch, capsys):
+    monkeypatch.setattr(selfcheck, "laplacian_residual", lambda *args: math.nan)
+    assert cli.main(["verify", "--suite", "forms"]) == 1
+    out = capsys.readouterr()
+    assert json.loads(out.out)["passed"] is False
+    assert "forms: eigenvalue-equation residual < 1e-8" in out.err
 
 
 def test_oracle_fd_command():

@@ -39,6 +39,10 @@ def test_form_point_representations():
     assert abs(q.z[1] - 0.3j) < 1e-16
     with pytest.raises(InvalidArgumentError):
         FormPoint.from_polar((-0.1,), (0.0,))
+    with pytest.raises(InvalidArgumentError):  # one angle for two radii
+        FormPoint.from_polar((0.5, 0.5), (0.1,))
+    with pytest.raises(InvalidArgumentError):
+        FormPoint((0.5,), (0.1, 0.2))
 
 
 def test_eval_bottom_mode_value(cache):
