@@ -163,9 +163,12 @@ def _cmd_zeros(args, out) -> int:
 
 def _cmd_spectrum(args, out) -> int:
     P = Polydisc(args.radii)
-    cache = ZeroCache()
+    if args.witnesses < 0:
+        raise InvalidArgumentError(f"--witnesses must be >= 0, got {args.witnesses}")
+    # only json prints witnesses; csv and table need none built
+    cap = args.witnesses if args.format == "json" else 0
     points = assemble_spectrum(
-        P, args.q, args.max, group_tol=args.group_tol, cache=cache, witness_cap=args.witnesses
+        P, args.q, args.max, group_tol=args.group_tol, cache=ZeroCache(), witness_cap=cap
     )
     if args.format == "json":
         out.write(_json(_spectrum_record(P, args.q, args, points)) + "\n")

@@ -52,6 +52,10 @@ class FormPoint:
             raise InvalidArgumentError(
                 f"point has {len(self.r)} radii but {len(self.theta)} angles"
             )
+        if not all(map(math.isfinite, self.r)):
+            raise InvalidArgumentError(f"point radii must be finite, got {self.r}")
+        if not all(map(math.isfinite, self.theta)):
+            raise InvalidArgumentError(f"point angles must be finite, got {self.theta}")
 
     @classmethod
     def from_complex(cls, z) -> "FormPoint":

@@ -25,11 +25,18 @@ oscillatory row with nu >= 1, and share its value bits.  For each J numpy
 forms the pruned sums of the tables left to right in variable order, then
 divides by 4, so every value has the bits of the mode-by-mode sum.
 Classes are sorted by (value, J) and grouped; point counts and families
-come from the class weights.  `EigenMode` objects are made only where
-modes are asked for: a point's witnesses, `enumerate_modes` and
-`spectral_ops.expand_from_samples`.  Classes with equal value bits and
-equal J interleave their modes by factor key, so every mode list is in
-`mode_sort_key` order.
+come from the class weights.
+
+`EigenMode` objects are made only where modes are asked for: a point's
+witnesses, `enumerate_modes` and `spectral_ops.expand_from_samples`, all
+through one flat pass over the sorted classes.  Numpy finds from the class
+weights how many modes each class gives before its point reaches the cap;
+the pass visits only those classes.  A class's per-variable factor tuples
+come from list-indexed tables filled on first use, its J/kind check runs
+once for all of its modes (they share J and the kind of every slot), and
+its modes are the product of those tuples, made without a second check.
+Classes with equal value bits and equal J interleave their modes by factor
+key, so every mode list is in `mode_sort_key` order.
 """
 
 from __future__ import annotations
@@ -37,7 +44,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -103,7 +109,30 @@ class Polydisc:
         return len(self.radii)
 
 
-@dataclass(frozen=True)
+_DIRICHLET = FactorKind.DIRICHLET
+
+# kind -> name, read without the Enum `value` property in per-mode keys
+_KIND_NAME = {kind: kind.value for kind in FactorKind}
+
+
+def _check_kinds(J: tuple[int, ...], slots) -> None:
+    """Raise unless exactly the variables in J carry Dirichlet factors.
+
+    `slots` holds, per variable, the factors that may fill it: one factor
+    for a mode, or a class's label tuple for all of its modes at once.
+    """
+    for k, slot in enumerate(slots, start=1):
+        in_J = k in J
+        for f in slot:
+            if in_J != (f.kind is _DIRICHLET):
+                raise InvalidArgumentError(
+                    f"variable {k} in J must carry a Dirichlet factor"
+                    if in_J
+                    else f"variable {k} not in J cannot be Dirichlet"
+                )
+
+
+@dataclass(frozen=True, slots=True)
 class EigenMode:
     """One eigenmode: the q-tuple J (1-based) plus one factor per variable."""
 
@@ -112,13 +141,7 @@ class EigenMode:
     value: float  # (1/4) sum of factor eigenvalues, fixed arithmetic path
 
     def __post_init__(self) -> None:
-        for k, f in enumerate(self.factors, start=1):
-            if (k in self.J) != (f.kind is FactorKind.DIRICHLET):
-                raise InvalidArgumentError(
-                    f"variable {k} in J must carry a Dirichlet factor"
-                    if k in self.J
-                    else f"variable {k} not in J cannot be Dirichlet"
-                )
+        _check_kinds(self.J, zip(self.factors))
 
     @property
     def has_holomorphic(self) -> bool:
@@ -152,19 +175,38 @@ class SpectralPoint:
     families: tuple[str, ...]
 
 
+_new_mode = object.__new__
+_set_J = EigenMode.J.__set__
+_set_factors = EigenMode.factors.__set__
+_set_value = EigenMode.value.__set__
+
+
+def _make_mode(J: tuple[int, ...], factors: tuple[ModeFactor, ...], value: float) -> EigenMode:
+    """An `EigenMode` whose J/kind check its caller has already made."""
+    mode = _new_mode(EigenMode)
+    _set_J(mode, J)
+    _set_factors(mode, factors)
+    _set_value(mode, value)
+    return mode
+
+
 def _factor_key(f: ModeFactor) -> tuple:
-    return (f.kind.value, f.angular_order, f.radial_index or 0)
+    return (_KIND_NAME[f.kind], f.angular_order, f.radial_index or 0)
+
+
+def _factors_key(factors: tuple[ModeFactor, ...]) -> tuple:
+    return tuple(map(_factor_key, factors))
 
 
 def mode_sort_key(mode: EigenMode) -> tuple:
-    return (mode.value, mode.J, tuple(_factor_key(f) for f in mode.factors))
+    return (mode.value, mode.J, _factors_key(mode.factors))
 
 
 def mode_descriptor(mode: EigenMode) -> tuple:
     """Canonical hashable descriptor, shared vocabulary with the oracle."""
     return (
         mode.J,
-        tuple((f.kind.value, f.angular_order, f.radial_index) for f in mode.factors),
+        tuple((_KIND_NAME[f.kind], f.angular_order, f.radial_index) for f in mode.factors),
     )
 
 
@@ -206,7 +248,6 @@ class _ClassTable:
         self.radii = P.radii
         self.n_complement = n - q
         self.cache = cache
-        self._factors: dict[tuple[int, FactorKind, int], tuple[ModeFactor, ...]] = {}
         self.J_list = [only_J] if only_J is not None else list(
             itertools.combinations(range(1, n + 1), q)
         )
@@ -302,49 +343,90 @@ class _ClassTable:
         )
         return starts, finite, infinite, np.bitwise_or.reduceat(family, starts)
 
-    def modes(self, lo: int = 0, hi: int | None = None) -> Iterator[EigenMode]:
-        """The modes of classes lo..hi-1 (default: all) in `mode_sort_key` order."""
-        values, J_index, rows = self._lists
-        hi = len(values) if hi is None else hi
-        c = lo
-        while c < hi:
-            d = c + 1
-            while d < hi and values[d] == values[c] and J_index[d] == J_index[c]:
-                d += 1
-            J = self.J_list[J_index[c]]
-            block = (
-                EigenMode(J, combo, values[c])
-                for k in range(c, d)
-                for combo in itertools.product(*self._labels(J, rows[k]))
-            )
-            if d - c > 1:
+    def expand(self, starts, cap: int) -> tuple[list[EigenMode], list[int]]:
+        """The first `cap` modes of each run of classes, in one flat list.
+
+        A run goes from one entry of `starts` (ascending, from 0) to the
+        next, and its modes come in `mode_sort_key` order.  Returns the list
+        and the end of each run's modes in it.
+        """
+        cap = min(cap, int(self.weight.sum()))
+        if cap <= 0:
+            return [], [0] * len(starts)
+        n_classes = len(self)
+        v, J_index = self.value, self.J_index
+        # a block is a run of classes with equal value bits and equal J
+        head = np.ones(n_classes, dtype=bool)
+        head[1:] = (v[1:] != v[:-1]) | (J_index[1:] != J_index[:-1])
+        head[starts] = True
+        block = np.flatnonzero(head)
+        length = np.diff(np.append(block, n_classes))
+        size = np.add.reduceat(self.weight, block)
+        done = np.cumsum(size) - size  # modes before each block
+        first = np.searchsorted(block, starts)  # the first block of each run
+        before = done - np.repeat(done[first], np.diff(np.append(first, len(block))))
+        take = np.clip(cap - before, 0, size)
+        ends = np.cumsum(np.add.reduceat(take, first)).tolist()
+        kept = take > 0
+        rows = iter(self.rows[:, np.repeat(kept, length)].T.tolist())
+        slot_labels = self._slot_labels
+        out: list[EigenMode] = []
+        for value, index, count, t in zip(
+            v[block[kept]].tolist(),
+            J_index[block[kept]].tolist(),
+            length[kept].tolist(),
+            take[kept].tolist(),
+        ):
+            J = self.J_list[index]
+            labels = slot_labels[index]
+            if count == 1:
+                slots = self._slots(J, labels, next(rows))
+                combos = itertools.islice(itertools.product(*slots), t)
+            else:
                 # classes with equal value bits and J interleave by factor key
-                block = sorted(block, key=mode_sort_key)
-            yield from block
-            c = d
+                products = (
+                    itertools.product(*self._slots(J, labels, next(rows))) for _ in range(count)
+                )
+                combos = sorted(itertools.chain.from_iterable(products), key=_factors_key)[:t]
+            out.extend(map(_make_mode, itertools.repeat(J), combos, itertools.repeat(value)))
+        return out, ends
+
+    def modes(self) -> list[EigenMode]:
+        """Every mode of the table, in `mode_sort_key` order."""
+        return self.expand([0], int(self.weight.sum()))[0]
 
     @functools.cached_property
-    def _lists(self) -> tuple[list[float], list[int], list[list[int]]]:
-        return self.value.tolist(), self.J_index.tolist(), self.rows.T.tolist()
+    def _slot_labels(self) -> list[list[list[tuple[ModeFactor, ...] | None]]]:
+        """Per J and variable, the label tuple of each row of that variable's
+        list (Dirichlet in J, complement outside), None until first use."""
+        dirichlet = [[None] * len(t.lam) for t in self.dirichlet]
+        complement = [[None] * len(t.lam) for t in self.complement]
+        return [
+            [dirichlet[k] if k + 1 in J else complement[k] for k in range(len(self.radii))]
+            for J in self.J_list
+        ]
 
-    def _labels(self, J: tuple[int, ...], rows: list[int]) -> list[tuple[ModeFactor, ...]]:
-        """Per variable, the factors of one class row, sorted by factor key."""
-        out = []
-        for k, row in enumerate(rows):
+    def _slots(self, J: tuple[int, ...], labels, rows: list[int]) -> list[tuple[ModeFactor, ...]]:
+        """Per variable, the factors of one class, sorted by factor key and
+        checked against J once for all of the class's modes."""
+        slots = [
+            tab[row] or self._fill(tab, J, k, row)
+            for k, (tab, row) in enumerate(zip(labels, rows))
+        ]
+        _check_kinds(J, slots)
+        return slots
+
+    def _fill(self, tab: list, J: tuple[int, ...], k: int, row: int) -> tuple[ModeFactor, ...]:
+        t = self._list(J, k)
+        nu, j = int(t.nu[row]), int(t.j[row])
+        a = self.radii[k]
+        if nu < 0:
+            got = (holomorphic_factor(0, a),)
+        else:
             kind = FactorKind.DIRICHLET if k + 1 in J else FactorKind.NEUMANN_POSITIVE
-            key = (k, kind, row)
-            got = self._factors.get(key)
-            if got is None:
-                t = self._list(J, k)
-                nu, j = int(t.nu[row]), int(t.j[row])
-                a = self.radii[k]
-                if nu < 0:
-                    got = (holomorphic_factor(0, a),)
-                else:
-                    got = row_factors(kind, nu, j, a, self.cache)
-                self._factors[key] = got
-            out.append(got)
-        return out
+            got = row_factors(kind, nu, j, a, self.cache)
+        tab[row] = got
+        return got
 
 
 def enumerate_modes(
@@ -356,7 +438,7 @@ def enumerate_modes(
     the eigenvalue).  The modes are the full expansion of the radial class
     table, in `mode_sort_key` order.
     """
-    return list(_ClassTable(P, q, lambda_max, cache).modes())
+    return _ClassTable(P, q, lambda_max, cache).modes()
 
 
 def assemble_spectrum(
@@ -375,6 +457,12 @@ def assemble_spectrum(
     one point, whose value is the smallest of them and whose witnesses need
     not show them all.  Each point carries its first witness_cap >= 0 modes
     in `mode_sort_key` order.
+
+    Witnesses are built in one pass over the sorted classes, which skips
+    the classes of a point past its cap.  The J/kind check of
+    `EigenMode` runs once per class, on its per-variable factor tuples,
+    instead of once per mode; the public constructor still checks each
+    mode it is given.
     """
     if not (group_tol > 0.0):
         raise InvalidArgumentError("group_tol must be positive")
@@ -386,13 +474,13 @@ def assemble_spectrum(
     if not len(table):
         return []
     starts, finite, infinite, family_bits = table.points(group_tol)
-    ends = np.append(starts[1:], len(table))
+    witnesses, ends = table.expand(starts, witness_cap)
     return [
         SpectralPoint(
             value=value,
             finite_multiplicity=count,
             infinite=inf,
-            witnesses=tuple(itertools.islice(table.modes(lo, hi), witness_cap)),
+            witnesses=tuple(witnesses[lo:hi]),
             families=_FAMILIES[bits],
         )
         for value, count, inf, bits, lo, hi in zip(
@@ -400,8 +488,8 @@ def assemble_spectrum(
             finite.tolist(),
             infinite.tolist(),
             family_bits.tolist(),
-            starts.tolist(),
-            ends.tolist(),
+            [0] + ends[:-1],
+            ends,
         )
     ]
 

@@ -121,11 +121,28 @@ def test_witness_cap_respected_in_record():
 
 
 def test_negative_witness_cap_exits_3():
-    res = run_cli(
-        "spectrum", "--radii", "1,1", "--q", "1", "--max", "5.2", "--witnesses", "-1"
-    )
-    assert res.returncode == 3
-    assert res.stdout == ""
+    for fmt in ("json", "csv", "table"):
+        res = run_cli(
+            "spectrum", "--radii", "1,1", "--q", "1", "--max", "5.2", "--witnesses", "-1",
+            "--format", fmt,
+        )
+        assert res.returncode == 3
+        assert res.stdout == ""
+
+
+def test_only_json_builds_witnesses(monkeypatch, capsys):
+    caps = []
+
+    def spy(*args, witness_cap, **kwargs):
+        caps.append(witness_cap)
+        return polyspec.assemble_spectrum(*args, witness_cap=witness_cap, **kwargs)
+
+    monkeypatch.setattr(cli, "assemble_spectrum", spy)
+    argv = ["spectrum", "--radii", "1,1", "--q", "1", "--max", "5.2", "--witnesses", "5"]
+    for fmt in ("json", "csv", "table"):
+        assert cli.main(argv + ["--format", fmt]) == 0
+    assert caps == [5, 0, 0]
+    capsys.readouterr()
 
 
 def test_import_leaves_oracle_dependencies_unloaded():

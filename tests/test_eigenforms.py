@@ -45,6 +45,23 @@ def test_form_point_representations():
         FormPoint((0.5,), (0.1, 0.2))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_form_point_refuses_non_finite_radius(bad):
+    with pytest.raises(InvalidArgumentError, match="radii"):
+        FormPoint.from_polar((0.5, bad), (0.1, 0.2))
+    with pytest.raises(InvalidArgumentError, match="radii"):
+        FormPoint((bad, 0.5), (0.1, 0.2))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_form_point_refuses_non_finite_angle(bad):
+    # a NaN angle used to reach eval_coefficient and come back as nan+nanj
+    with pytest.raises(InvalidArgumentError, match="angles"):
+        FormPoint.from_polar((0.5, 0.5), (bad, 0.0))
+    with pytest.raises(InvalidArgumentError, match="angles"):
+        FormPoint((0.5, 0.5), (0.0, bad))
+
+
 def test_eval_bottom_mode_value(cache):
     mode = _bottom_mode(cache)
     p = FormPoint.from_complex((0.5, 0.3j))

@@ -1,9 +1,12 @@
 """Spectrum enumeration, grouping, bottom formula, counting."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from polyspec import (
+    EigenMode,
     FactorKind,
     InvalidArgumentError,
     Polydisc,
@@ -12,8 +15,10 @@ from polyspec import (
     counting,
     enumerate_modes,
     mode_descriptor,
+    spectrum,
 )
-from polyspec.spectrum import mode_sort_key
+from polyspec.disc_modes import holomorphic_factor, row_factors
+from polyspec.spectrum import _ClassTable, mode_sort_key
 
 BOTTOM_11 = 1.445796490736696  # lambda_{0,1}^2 / 4
 BOTTOM_12 = 0.361449122684174  # lambda_{0,1}^2 / 16
@@ -125,6 +130,93 @@ def test_enumeration_is_the_concatenated_witnesses(cache, radii, q, lam):
     assert sum(p.finite_multiplicity for p in points) == sum(
         not m.has_holomorphic for m in modes
     )
+
+
+def _reference_witnesses(P, q, lam, cache, cap):
+    """Each point's witnesses, expanded mode by mode: per class the
+    itertools.product of its row factors through the public constructor,
+    blocks of equal value bits and equal J sorted by mode_sort_key, each
+    point cut to its first `cap` modes."""
+    table = _ClassTable(P, q, lam, cache)
+    if not len(table):
+        return []
+    starts = table.points(spectrum._GROUP_TOL)[0].tolist()
+    values, J_index, rows = table.value.tolist(), table.J_index.tolist(), table.rows.T.tolist()
+
+    def labels(J, row):
+        out = []
+        for k, r in enumerate(row):
+            a = P.radii[k]
+            t = table.dirichlet[k] if k + 1 in J else table.complement[k]
+            nu, j = int(t.nu[r]), int(t.j[r])
+            kind = FactorKind.DIRICHLET if k + 1 in J else FactorKind.NEUMANN_POSITIVE
+            if nu < 0:
+                out.append((holomorphic_factor(0, a),))
+            else:
+                out.append(row_factors(kind, nu, j, a, cache))
+        return out
+
+    def modes(lo, hi):
+        c = lo
+        while c < hi:
+            d = c + 1
+            while d < hi and values[d] == values[c] and J_index[d] == J_index[c]:
+                d += 1
+            J = table.J_list[J_index[c]]
+            block = [
+                EigenMode(J, combo, values[c])
+                for k in range(c, d)
+                for combo in itertools.product(*labels(J, rows[k]))
+            ]
+            yield from sorted(block, key=mode_sort_key) if d - c > 1 else block
+            c = d
+
+    ends = starts[1:] + [len(table)]
+    return [tuple(itertools.islice(modes(lo, hi), cap)) for lo, hi in zip(starts, ends)]
+
+
+@pytest.mark.parametrize(
+    "radii,q,lam",
+    [
+        ((1.0, 1.0, 1.0), 1, 20.0),
+        ((1.0, 1.0, 1.0, 1.0), 2, 12.0),
+        ((1.0, 1.3, 1.7, 2.2), 1, 10.0),
+    ],
+)
+@pytest.mark.parametrize("cap", [0, 1, 7, 8, 9, 1000])
+def test_witnesses_match_mode_by_mode_expansion(cache, radii, q, lam, cap):
+    P = Polydisc(radii)
+    if radii[-1] == 2.2:
+        # a class with four oscillatory slots, nu >= 1: 16 modes, past the cap
+        assert 16 in _ClassTable(P, q, lam, cache).weight
+    points = assemble_spectrum(P, q, lam, cache=cache, witness_cap=cap)
+    assert [p.witnesses for p in points] == _reference_witnesses(P, q, lam, cache, cap)
+
+
+def test_wrong_kind_labels_are_refused_on_the_class_path(cache, monkeypatch):
+    # a Dirichlet slot handed Neumann-positive labels, and the reverse
+    swap = {
+        FactorKind.DIRICHLET: FactorKind.NEUMANN_POSITIVE,
+        FactorKind.NEUMANN_POSITIVE: FactorKind.DIRICHLET,
+    }
+    monkeypatch.setattr(
+        spectrum, "row_factors", lambda kind, *args: row_factors(swap[kind], *args)
+    )
+    P = Polydisc((1.0, 1.3))
+    with pytest.raises(InvalidArgumentError, match="Dirichlet"):
+        assemble_spectrum(P, 1, 12.0, cache=cache, witness_cap=1)
+    with pytest.raises(InvalidArgumentError, match="Dirichlet"):
+        enumerate_modes(P, 1, 12.0, cache)
+
+
+def test_public_constructor_still_checks_kinds(cache):
+    mode = enumerate_modes(Polydisc((1.0, 1.0)), 1, 1.5, cache)[0]
+    with pytest.raises(InvalidArgumentError, match="variable 1 in J must carry a Dirichlet"):
+        EigenMode((1,), mode.factors[::-1], mode.value)
+    with pytest.raises(InvalidArgumentError, match="variable 2 not in J cannot be Dirichlet"):
+        EigenMode((1,), (mode.factors[0], mode.factors[0]), mode.value)
+    assert EigenMode(mode.J, mode.factors, mode.value) == mode
+    assert not hasattr(mode, "__dict__")  # slotted
 
 
 def test_bottom_examples(cache):
