@@ -423,6 +423,8 @@ def main(argv: list[str] | None = None) -> int:
         args.radii = _parse_radii(parser, args.radii)
     if getattr(args, "seed", 0) < 0:
         parser.error(f"--seed: must be non-negative, got {args.seed}")
+    if args.command == "zeros" and args.count < 1:
+        parser.error(f"--count: must be at least 1, got {args.count}")
     try:
         return args.func(args, sys.stdout)
     except (UnsupportedRangeError, InvalidArgumentError, OracleInsufficientError) as exc:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import bessel_j, bessel_j_prime
-from .errors import InvalidArgumentError
+from .errors import InternalConsistencyError, InvalidArgumentError
 from .zeros import ZeroCache
 
 __all__ = [
@@ -98,18 +98,16 @@ def holomorphic_factor(p: int, a: float) -> ModeFactor:
     return ModeFactor(FactorKind.HOLOMORPHIC, p, None, a, 0.0)
 
 
-def _sort_key(f: ModeFactor) -> tuple:
-    return (f.lambda_k, f.kind.value, f.angular_order, f.radial_index or 0)
-
-
 def zero_table(
     a: float, lambda_max: float, cache: ZeroCache
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The disc's zero table below the cutoff, as arrays (lam, nu, j).
 
     One row per (nu, j) with lam = (lambda_{nu,j} / a)^2 <= lambda_max,
-    ascending in lam.  Completeness of the truncation relies on
-    lambda_{nu,1} growing strictly with nu (interlacing).
+    strictly increasing in lam.  Completeness of the truncation relies on
+    lambda_{nu,1} growing strictly with nu (interlacing).  Two equal lam are
+    refused (InternalConsistencyError): no two positive zeros of J_nu and
+    J_{nu+k} coincide (Bourget's hypothesis, proved by Siegel; Watson 15.28).
     """
     if not (a > 0.0):
         raise InvalidArgumentError("radius must be positive")
@@ -129,11 +127,10 @@ def zero_table(
                 j += 1
             nu += 1
     order = np.argsort(lams, kind="stable")
-    return (
-        np.array(lams, dtype=float)[order],
-        np.array(nus, dtype=np.int64)[order],
-        np.array(js, dtype=np.int64)[order],
-    )
+    lam = np.array(lams, dtype=float)[order]
+    if not (np.diff(lam) > 0.0).all():
+        raise InternalConsistencyError(f"two zero-table rows of the disc a = {a} coincide")
+    return lam, np.array(nus, dtype=np.int64)[order], np.array(js, dtype=np.int64)[order]
 
 
 def row_factors(
@@ -157,13 +154,11 @@ def _table_factors(
     kind: FactorKind, a: float, lambda_max: float, cache: ZeroCache
 ) -> list[ModeFactor]:
     _, nus, js = zero_table(a, lambda_max, cache)
-    out = [
+    return [
         f
         for nu, j in zip(nus.tolist(), js.tolist())
         for f in row_factors(kind, nu, j, a, cache)
     ]
-    out.sort(key=_sort_key)
-    return out
 
 
 def dirichlet_factors(a: float, lambda_max: float, cache: ZeroCache) -> list[ModeFactor]:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 from .bessel import _bessel_j_with_derivatives, bessel_j, bessel_j_prime
@@ -174,6 +175,8 @@ def factor_dbar_boundary(f: ModeFactor, theta: float) -> complex:
     hence vanish; Dirichlet profiles generically do not (J' is nonzero at a
     simple zero of J).
     """
+    if not math.isfinite(theta):
+        raise InvalidArgumentError(f"angle must be finite, got {theta}")
     a = f.radius
     m = f.angular_order
     if f.kind is FactorKind.HOLOMORPHIC:
@@ -189,8 +192,10 @@ def factor_dbar_boundary(f: ModeFactor, theta: float) -> complex:
 
 def dbar_boundary_residual(mode: EigenMode, k: int, theta: float) -> float:
     """|dbar_k of the k-th factor| on the circle |z_k| = a_k, for k not in J."""
-    if not (1 <= k <= len(mode.factors)):
-        raise InvalidArgumentError(f"variable index {k} out of range")
+    if not isinstance(k, numbers.Integral) or not (1 <= k <= len(mode.factors)):
+        raise InvalidArgumentError(
+            f"variable index {k!r} is not an integer in 1..{len(mode.factors)}"
+        )
     if k in set(mode.J):
         raise InvalidArgumentError(f"variable {k} lies in J; the dbar condition applies off J")
     return abs(factor_dbar_boundary(mode.factors[k - 1], theta))

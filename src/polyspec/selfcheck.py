@@ -203,16 +203,17 @@ def check_enumeration_oracle(rng, cache: ZeroCache, radii_sets, lam_max) -> list
         P = Polydisc(radii)
         m_bound, j_bound = sufficient_bounds(P, lam_max, cache)
         for q in range(1, P.n):
-            ours = sorted(
-                (m.value, mode_descriptor(m)) for m in enumerate_modes(P, q, lam_max, cache)
-            )
-            oracle = sorted(brute_force_spectrum(P, q, lam_max, m_bound, j_bound, cache))
-            same = len(ours) == len(oracle) and all(
-                abs(v1 - v2) < 1e-10 and d1 == d2 for (v1, d1), (v2, d2) in zip(ours, oracle)
+            modes = enumerate_modes(P, q, lam_max, cache)
+            pairs = brute_force_spectrum(P, q, lam_max, m_bound, j_bound, cache)
+            ours = {mode_descriptor(m): m.value for m in modes}
+            oracle = {d: v for v, d in pairs}
+            # a repeated descriptor shrinks its dict below its list
+            same = len(ours) == len(modes) == len(pairs) == len(oracle) and all(
+                abs(v - oracle.get(d, math.inf)) < 1e-10 for d, v in ours.items()
             )
             name = f"enumeration equals brute force on radii {radii}, q={q}"
-            values = [v for v, _ in ours + oracle]
-            out.append(_holds(name, values, same, f"{len(ours)} vs {len(oracle)} modes"))
+            values = [m.value for m in modes] + [v for v, _ in pairs]
+            out.append(_holds(name, values, same, f"{len(modes)} vs {len(pairs)} modes"))
     return out
 
 

@@ -234,7 +234,10 @@ def expand_from_samples(
     angular_nodes: int = 32,
     p_max: int = 16,
 ) -> Expansion:
-    """Expansion of pre-sampled data on the canonical quadrature grid."""
+    """Expansion of pre-sampled data on the canonical quadrature grid.
+
+    A NaN or infinite sample raises InvalidArgumentError.
+    """
     J = tuple(int(k) for k in J)
     if len(J) != q or list(J) != sorted(set(J)) or J[0] < 1 or J[-1] > P.n:
         raise InvalidArgumentError(f"J = {J} is not a strictly increasing {q}-tuple in 1..{P.n}")
@@ -275,7 +278,11 @@ def expand_from_samples(
         theta, wt = angular_quadrature(angular_nodes)
         weight = np.multiply.outer(wr * r, wt)
         stack = np.conj(_factor_grids(per_var_factors[k], r, theta)) * weight
-        G = np.tensordot(G, stack, axes=([0, 1], [1, 2]))
+        with np.errstate(invalid="ignore"):  # inf samples: refused below
+            G = np.tensordot(G, stack, axes=([0, 1], [1, 2]))
+    # a NaN or inf sample reaches every contracted entry: checking them is exact
+    if not np.isfinite(G).all():
+        raise InvalidArgumentError("sample grid holds a non-finite value")
 
     norms = _factor_norms(f for fs in per_var_factors for f in fs)
     terms = []

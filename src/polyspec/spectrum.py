@@ -35,13 +35,15 @@ the pass visits only those classes.  A class's per-variable factor tuples
 come from list-indexed tables filled on first use, its J/kind check runs
 once for all of its modes (they share J and the kind of every slot), and
 its modes are the product of those tuples, made without a second check.
-Classes with equal value bits and equal J interleave their modes by factor
-key, so every mode list is in `mode_sort_key` order.
+Each tuple ascends in angular order, so a class's product comes in factor-key
+order, and classes with equal value bits and equal J merge without a sort:
+every mode list is in `mode_sort_key` order.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -383,11 +385,11 @@ class _ClassTable:
                 slots = self._slots(J, labels, next(rows))
                 combos = itertools.islice(itertools.product(*slots), t)
             else:
-                # classes with equal value bits and J interleave by factor key
-                products = (
+                # each class's product ascends by factor key, so merging keeps the order
+                products = [
                     itertools.product(*self._slots(J, labels, next(rows))) for _ in range(count)
-                )
-                combos = sorted(itertools.chain.from_iterable(products), key=_factors_key)[:t]
+                ]
+                combos = itertools.islice(heapq.merge(*products, key=_factors_key), t)
             out.extend(map(_make_mode, itertools.repeat(J), combos, itertools.repeat(value)))
         return out, ends
 
@@ -499,19 +501,16 @@ def bottom(P: Polydisc, q: int, cache: ZeroCache) -> tuple[float, tuple[int, ...
 
     bottom = (lambda_{0,1}^2 / 4) * min over |J| = q of sum_{k in J} a_k^-2,
     always attained by an infinite family (Dirichlet ground factors on J,
-    holomorphic factors elsewhere).  Ties break lexicographically.
+    holomorphic factors elsewhere).  J is the q largest radii, read off one
+    stable sort of the terms a_k^-2 in O(n log n) with no tuple search; equal
+    terms go to the lower index, so J is the lexicographically first
+    minimizer.  The value sums J's terms in index order.
     """
     _validate_q(P, q)
     z01 = cache.zero(0, 1)
-    best_sum = math.inf
-    best_J: tuple[int, ...] | None = None
-    for J in itertools.combinations(range(1, P.n + 1), q):
-        s = sum(1.0 / P.radii[k - 1] ** 2 for k in J)
-        if s < best_sum:
-            best_sum = s
-            best_J = J
-    assert best_J is not None
-    return 0.25 * z01 * z01 * best_sum, best_J
+    terms = [1.0 / a**2 for a in P.radii]
+    J = sorted(sorted(range(P.n), key=terms.__getitem__)[:q])
+    return 0.25 * z01 * z01 * sum(terms[k] for k in J), tuple(k + 1 for k in J)
 
 
 def counting(

@@ -34,6 +34,7 @@ from .errors import (
     InternalConsistencyError,
     InvalidArgumentError,
     OracleInsufficientError,
+    UnsupportedRangeError,
 )
 from .spectral_ops import _gauss_legendre
 from .spectrum import Polydisc
@@ -42,6 +43,7 @@ from .zeros import ZeroCache
 __all__ = [
     "BoundaryCondition",
     "FdConfig",
+    "MAX_GRID_POINTS",
     "fd_radial_eigs",
     "fd_convergence_report",
     "quad_inner_product",
@@ -49,6 +51,11 @@ __all__ = [
     "brute_force_spectrum",
     "sufficient_bounds",
 ]
+
+
+# Largest radial grid `FdConfig` accepts: 25 times the finest grid the checks
+# use (4,000), and refused before anything is allocated.
+MAX_GRID_POINTS = 100_000
 
 
 class BoundaryCondition(enum.Enum):
@@ -71,20 +78,27 @@ class FdConfig:
     bc: BoundaryCondition
 
     def __post_init__(self) -> None:
-        if self.grid_points < 64:
-            raise InvalidArgumentError("need at least 64 grid points")
-        if not (self.radius > 0.0):
-            raise InvalidArgumentError("radius must be positive")
+        if not (64 <= self.grid_points <= MAX_GRID_POINTS):
+            raise InvalidArgumentError(
+                f"need 64 to {MAX_GRID_POINTS} grid points, got {self.grid_points}"
+            )
+        if not (self.radius > 0.0) or not math.isfinite(self.radius):
+            raise InvalidArgumentError(f"radius must be positive and finite, got {self.radius}")
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # refused below instead
 def fd_radial_eigs(cfg: FdConfig, count: int) -> list[float]:
-    """Smallest `count` eigenvalues of the discretized radial problem."""
+    """Smallest `count` eigenvalues of the discretized radial problem.
+
+    A radius so small or so large that the matrix overflows or underflows
+    raises UnsupportedRangeError.
+    """
     if not (1 <= count <= 10):
         raise InvalidArgumentError("count must lie in [1, 10]")
     n = cfg.grid_points
     a = cfg.radius
     m = cfg.angular_order
-    h = a / n
+    h = np.float64(a) / n  # h**2 overflows to inf, where a float would raise
     r = (np.arange(1, n + 1) - 0.5) * h
     r_plus = np.arange(1, n + 1) * h   # r_{i+1/2}; r_{1/2} = 0 kills the inner flux
     r_minus = np.arange(0, n) * h
@@ -105,6 +119,11 @@ def fd_radial_eigs(cfg: FdConfig, count: int) -> list[float]:
     # weight r: symmetrize T = W^{-1/2} A W^{-1/2}
     d = diag / r
     e = off / np.sqrt(r[:-1] * r[1:])
+    # the exact matrix is finite with a strictly negative off-diagonal
+    if not (np.isfinite(d).all() and ((-np.inf < e) & (e < 0.0)).all()):
+        raise UnsupportedRangeError(
+            f"FD matrix not representable at radius {a}, order {m}, {n} grid points"
+        )
     from scipy.linalg import eigh_tridiagonal  # only this oracle needs scipy.linalg
 
     try:
@@ -264,7 +283,8 @@ def brute_force_spectrum(
     bounds themselves are certified first: the smallest contribution they
     exclude must exceed 4 * lambda_max, otherwise the enumeration could be
     incomplete and an OracleInsufficientError is raised (never a silent
-    truncation).  Descriptors follow `spectrum.mode_descriptor`.
+    truncation).  Returns (value, descriptor) pairs in no specified order;
+    descriptors follow `spectrum.mode_descriptor`.
     """
     n = P.n
     if n not in (2, 3):
@@ -327,5 +347,4 @@ def brute_force_spectrum(
                             (J, (descs[0][i0], descs[1][i1], descs[2][i2])),
                         )
                     )
-    out.sort(key=lambda t: (t[0], repr(t[1])))
     return out

@@ -17,6 +17,7 @@ from polyspec import Polydisc, ZeroCache, cli, dirichlet_factor, selfcheck
 from polyspec.selfcheck import SUITES
 from polyspec.gridfile import write_grid
 from polyspec.spectral_ops import sample_on_grid
+from polyspec.verify import MAX_GRID_POINTS
 
 SCHEMA_PATH = Path(polyspec.__file__).parent / "schema" / "spectrum_output.schema.json"
 # the package under test, importable in subprocesses without an install
@@ -180,6 +181,7 @@ def test_bad_flags_exit_2():
     assert run_cli("spectrum", "--radii", "oops", "--q", "1", "--max", "1").returncode == 2
     assert run_cli("nonsense").returncode == 2
     assert run_cli("verify", "--suite", "bessel", "--seed", "-1").returncode == 2
+    assert run_cli("zeros", "--order", "0", "--count", "-2").returncode == 2
 
 
 def test_bottom_command():
@@ -301,6 +303,27 @@ def test_inverse_rejects_mismatched_flags(tmp_path):
         "--J", "1,2", "--max-lambda", "2.0",
     )
     assert res.returncode == 3
+
+
+def test_inverse_refuses_a_non_finite_sample(tmp_path, capsys):
+    F = np.ones((64, 32, 64, 32), dtype=complex)
+    F[5, 7, 11, 13] = np.nan
+    grid_path = tmp_path / "nan.pspc"
+    write_grid(str(grid_path), 2, 1, [(64, 32), (64, 32)], F)
+    flags = ["--radii", "1,1", "--q", "1", "--J", "1", "--max-lambda", "8", "--p-max", "4"]
+    assert cli.main(["inverse", "--input", str(grid_path), *flags]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "polyspec: sample grid holds a non-finite value\n"
+
+
+@pytest.mark.parametrize(
+    "flags", [["--radius", "inf"], ["--radius", "1e-300"], ["--grid", str(MAX_GRID_POINTS + 1)]]
+)
+def test_oracle_fd_refuses_unrepresentable_requests(capsys, flags):
+    assert cli.main(["oracle", "fd", "--order", "0", "--bc", "dirichlet", *flags]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("polyspec: ")
 
 
 def test_inverse_rejects_wrapped_grid_header(tmp_path):

@@ -6,6 +6,7 @@ from polyspec import (
     BoundaryCondition,
     FactorKind,
     FdConfig,
+    InternalConsistencyError,
     InvalidArgumentError,
     ModeFactor,
     dirichlet_factor,
@@ -17,6 +18,7 @@ from polyspec import (
     radial_profile,
     robin_residual,
 )
+from polyspec.disc_modes import zero_table
 
 LAM01_SQ = 5.783185962946785
 LAM11_SQ = 14.681970642123893
@@ -129,3 +131,18 @@ def test_factor_lists_match_fd_oracle(cache):
         positive = fd[1:] if m >= 0 else fd[:3]
         for got, want in zip(positive, analytic):
             assert got == pytest.approx(want, rel=5e-3)
+
+
+def test_zero_table_refuses_coinciding_zeros(cache):
+    # on one disc no two zeros coincide (Bourget-Siegel); a cache that hands
+    # the rows (1, 1) and (2, 1) the same zero is faulty
+    class Coinciding:
+        def zero(self, nu, j):
+            return cache.zero(2, 1) if (nu, j) == (1, 1) else cache.zero(nu, j)
+
+    lam, _, _ = zero_table(1.0, 30.0, cache)
+    assert (lam[1:] > lam[:-1]).all()
+    with pytest.raises(InternalConsistencyError, match="coincide"):
+        zero_table(1.0, 30.0, Coinciding())
+    with pytest.raises(InternalConsistencyError):
+        dirichlet_factors(1.0, 30.0, Coinciding())

@@ -160,6 +160,20 @@ def test_dbar_boundary_residuals(cache):
                     assert dbar_boundary_residual(mode, k, theta) < 1e-10
 
 
+def test_dbar_refuses_non_finite_angles_and_non_integer_variables(cache):
+    mode = enumerate_modes(Polydisc((1.0, 1.0)), 1, 3.0, cache)[-1]
+    off = 2 if mode.J == (1,) else 1
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidArgumentError, match="angle"):
+            dbar_boundary_residual(mode, off, theta)
+        with pytest.raises(InvalidArgumentError, match="angle"):
+            factor_dbar_boundary(mode.factors[off - 1], theta)
+    for k in (1.5, float(off), "2", 0, 3):
+        with pytest.raises(InvalidArgumentError, match="variable index"):
+            dbar_boundary_residual(mode, k, 0.3)
+    assert dbar_boundary_residual(mode, np.int64(off), 0.3) < 1e-10
+
+
 def test_dbar_of_monomial_is_zero():
     for p_exp in (0, 1, 4):
         f = holomorphic_factor(p_exp, 1.3)

@@ -237,6 +237,17 @@ def test_expand_validation(cache):
         expand(f, P11, 1, (1,), 5.0, cache, quad_nodes=32)  # too few nodes
     with pytest.raises(InvalidArgumentError):
         expand(f, P11, 1, (1,), 5.0, cache, angular_nodes=8, p_max=16)  # aliasing
+    inf = lambda z1, z2: np.full(np.broadcast(z1, z2).shape, np.inf, dtype=complex)
+    with pytest.raises(InvalidArgumentError, match="non-finite"):
+        expand(inf, P11, 1, (1,), 8.0, cache, p_max=4)
+
+
+def test_non_finite_sample_is_refused(cache):
+    F = np.ones((64, 32, 64, 32), dtype=complex)
+    assert len(expand_from_samples(F, P11, 1, (1,), 8.0, cache, p_max=4).terms) == 39
+    F[5, 7, 11, 13] = np.nan
+    with pytest.raises(InvalidArgumentError, match="non-finite"):
+        expand_from_samples(F, P11, 1, (1,), 8.0, cache, p_max=4)
 
 
 def test_gridfile_roundtrip(tmp_path, cache, basis):

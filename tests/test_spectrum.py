@@ -1,6 +1,8 @@
 """Spectrum enumeration, grouping, bottom formula, counting."""
 
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -183,6 +185,8 @@ def _reference_witnesses(P, q, lam, cache, cap):
         ((1.0, 1.3, 1.7, 2.2), 1, 10.0),
     ],
 )
+# on the equal radii, caps 1, 7, 8 and 9 stop inside blocks of several classes,
+# whose modes the class path merges by factor key
 @pytest.mark.parametrize("cap", [0, 1, 7, 8, 9, 1000])
 def test_witnesses_match_mode_by_mode_expansion(cache, radii, q, lam, cap):
     P = Polydisc(radii)
@@ -227,6 +231,61 @@ def test_bottom_examples(cache):
     val, J = bottom(Polydisc((1.0, 2.0, 3.0)), 2, cache)
     assert J == (2, 3)
     assert val == pytest.approx(0.522093177210474, rel=1e-12)  # (l01^2/4)(1/4+1/9)
+
+
+def _exhaustive_bottom(radii, q, cache):
+    """The first J, lexicographically, whose float sum of a_k^-2 is least."""
+    best, best_J = math.inf, None
+    for J in itertools.combinations(range(1, len(radii) + 1), q):
+        s = sum(1.0 / radii[k - 1] ** 2 for k in J)
+        if s < best:
+            best, best_J = s, J
+    z01 = cache.zero(0, 1)
+    return 0.25 * z01 * z01 * best, best_J
+
+
+def _first_exact_minimizer(radii, q):
+    """The lexicographically first J whose exact sum of the float terms is least."""
+    terms = [Fraction(1.0 / a**2) for a in radii]
+    return min(
+        itertools.combinations(range(1, len(radii) + 1), q),
+        key=lambda J: sum(terms[k - 1] for k in J),
+    )
+
+
+def test_bottom_breaks_ties_lexicographically(cache):
+    # the float sum of (1, 3, 4) happens to round below that of (1, 2, 3)
+    radii = (2.4264688198451054, 2.2, 2.909360102350604, 2.2)
+    assert bottom(Polydisc(radii), 3, cache)[1] == (1, 2, 3)
+    assert _exhaustive_bottom(radii, 3, cache)[1] == (1, 3, 4)
+
+
+def test_bottom_equals_exhaustive_search_on_untied_radii(cache):
+    rng = np.random.default_rng(44)
+    for _ in range(150):
+        n = int(rng.integers(2, 9))
+        radii = tuple(float(a) for a in rng.uniform(0.3, 3.0, n))
+        for q in range(1, n):
+            assert bottom(Polydisc(radii), q, cache) == _exhaustive_bottom(radii, q, cache)
+
+
+def test_bottom_on_tied_radii_is_the_first_minimizer(cache):
+    rng = np.random.default_rng(45)
+    for _ in range(150):
+        n = int(rng.integers(2, 9))
+        radii = tuple(float(a) for a in rng.choice((0.7, 1.1, 2.2, 2.4264688198451054), n))
+        for q in range(1, n):
+            value, J = bottom(Polydisc(radii), q, cache)
+            assert J == _first_exact_minimizer(radii, q)
+            assert value == pytest.approx(_exhaustive_bottom(radii, q, cache)[0], rel=1e-12)
+
+
+def test_bottom_needs_no_tuple_search(cache):
+    # C(40, 20) is about 1.4e11 tuples
+    radii = tuple(1.0 + 0.01 * ((7 * k) % 40) for k in range(40))
+    value, J = bottom(Polydisc(radii), 20, cache)
+    assert sorted(radii[k - 1] for k in J) == sorted(radii)[20:]
+    assert value > 0.0
 
 
 def test_bottom_matches_first_point_and_is_essential(cache):

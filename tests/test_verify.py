@@ -11,6 +11,7 @@ from polyspec import (
     InvalidArgumentError,
     OracleInsufficientError,
     Polydisc,
+    UnsupportedRangeError,
     bessel_j,
     brute_force_spectrum,
     enumerate_modes,
@@ -19,8 +20,10 @@ from polyspec import (
     mode_descriptor,
     quad_inner_product,
     radial_basis_gram,
+    selfcheck,
     sufficient_bounds,
 )
+from polyspec.verify import MAX_GRID_POINTS
 
 LAM01_SQ = 5.783185962946785
 LAM11_SQ = 14.681970642123893
@@ -50,6 +53,18 @@ def test_fd_validation():
         FdConfig(32, 1.0, 0, BoundaryCondition.DIRICHLET)
     with pytest.raises(InvalidArgumentError):
         fd_radial_eigs(FdConfig(100, 1.0, 0, BoundaryCondition.DIRICHLET), 11)
+    for radius in (math.inf, -math.inf, math.nan, 0.0):
+        with pytest.raises(InvalidArgumentError, match="radius"):
+            FdConfig(2000, radius, 0, BoundaryCondition.DIRICHLET)
+    # refused by the config, before fd_radial_eigs allocates the grid
+    with pytest.raises(InvalidArgumentError, match="grid points"):
+        FdConfig(MAX_GRID_POINTS + 1, 1.0, 0, BoundaryCondition.DIRICHLET)
+    assert FdConfig(MAX_GRID_POINTS, 1.0, 0, BoundaryCondition.DIRICHLET).radius == 1.0
+    # entries overflow (radius 1e-300) or underflow to a zero off-diagonal (1e300)
+    for radius in (1e-300, 1e300):
+        for bc in BoundaryCondition:
+            with pytest.raises(UnsupportedRangeError, match="not representable"):
+                fd_radial_eigs(FdConfig(64, radius, 1, bc), 1)
 
 
 def test_fd_convergence_report(cache):
@@ -139,3 +154,15 @@ def test_sufficient_bounds_are_sufficient(cache):
     a_max = max(P.radii)
     assert (cache.zero(m_bound + 1, 1) / a_max) ** 2 > budget
     assert (cache.zero(0, j_bound + 1) / a_max) ** 2 > budget
+
+
+@pytest.mark.parametrize(
+    "fault", [lambda modes: modes[:-1], lambda modes: modes + modes[:1]], ids=["drop", "repeat"]
+)
+def test_enumeration_oracle_check_catches_planted_faults(cache, monkeypatch, fault):
+    workload = dict(radii_sets=((1.0, 1.0),), lam_max=10.0)
+    assert all(r.passed for r in selfcheck.check_enumeration_oracle(None, cache, **workload))
+    enumerate_ok = selfcheck.enumerate_modes
+    monkeypatch.setattr(selfcheck, "enumerate_modes", lambda *args: fault(enumerate_ok(*args)))
+    results = selfcheck.check_enumeration_oracle(None, cache, **workload)
+    assert [r.passed for r in results] == [False]
