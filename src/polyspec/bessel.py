@@ -105,12 +105,6 @@ def _two_prod(a: float, b: float) -> tuple[float, float]:
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def _dd_mul(xh: float, xl: float, yh: float, yl: float) -> tuple[float, float]:
-    p, e = _two_prod(xh, yh)
-    e += xh * yl + xl * yh
-    return _two_sum(p, e)
-
-
 def _dd_div_d(xh: float, xl: float, d: float) -> tuple[float, float]:
     q1 = xh / d
     p, e = _two_prod(q1, d)
@@ -129,22 +123,90 @@ def _dd_add(xh: float, xl: float, yh: float, yl: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def _series_j(m: int, z: float, max_terms: int) -> float:
-    """Alternating power series in double-double arithmetic."""
+    """Alternating power series in double-double arithmetic.
+
+    The Dekker steps of the vector kernel's primitives (`_two_prod`,
+    `_dd_div_d`, `_dd_add`, and a product that adds its error terms as
+    e + (a + b)) are written out in place, operation for operation, since
+    this loop runs once per term of every scalar call.  Splits of a
+    loop-invariant factor are made once.
+    """
     h = 0.5 * z
+    t = _SPLIT * h
+    hh = t - (t - h)
+    hl = h - hh
     # leading term (z/2)^m / m!, built incrementally (no factorial overflow)
     th, tl = 1.0, 0.0
     for i in range(1, m + 1):
-        th, tl = _dd_mul(th, tl, h, 0.0)
-        th, tl = _dd_div_d(th, tl, float(i))
+        # (th, tl) *= (h, 0)
+        p = th * h
+        t = _SPLIT * th
+        ah = t - (t - th)
+        al = th - ah
+        e = ((ah * hh - p) + ah * hl + al * hh) + al * hl
+        e += th * 0.0 + tl * h
+        th = p + e
+        bb = th - p
+        tl = (p - (th - bb)) + (e - bb)
+        # (th, tl) /= i
+        d = float(i)
+        q1 = th / d
+        p = q1 * d
+        t = _SPLIT * q1
+        ah = t - (t - q1)
+        al = q1 - ah
+        t = _SPLIT * d
+        bh = t - (t - d)
+        bl = d - bh
+        e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+        q2 = ((th - p) - e + tl) / d
+        th = q1 + q2
+        bb = th - q1
+        tl = (q1 - (th - bb)) + (q2 - bb)
         if th == 0.0:
             return 0.0  # underflow: true value is below double range
     sh, sl = th, tl
-    qh, ql = _two_prod(h, h)
-    qh, ql = -qh, -ql  # ratio numerator -(z/2)^2
+    # ratio numerator -(z/2)^2
+    p = h * h
+    e = ((hh * hh - p) + hh * hl + hl * hh) + hl * hl
+    qh, ql = -p, -e
+    t = _SPLIT * qh
+    qhh = t - (t - qh)
+    qhl = qh - qhh
     for l in range(1, max_terms + 1):
-        th, tl = _dd_mul(th, tl, qh, ql)
-        th, tl = _dd_div_d(th, tl, float(l * (l + m)))
-        sh, sl = _dd_add(sh, sl, th, tl)
+        # (th, tl) *= (qh, ql)
+        p = th * qh
+        t = _SPLIT * th
+        ah = t - (t - th)
+        al = th - ah
+        e = ((ah * qhh - p) + ah * qhl + al * qhh) + al * qhl
+        e += th * ql + tl * qh
+        th = p + e
+        bb = th - p
+        tl = (p - (th - bb)) + (e - bb)
+        # (th, tl) /= l (l + m)
+        d = float(l * (l + m))
+        q1 = th / d
+        p = q1 * d
+        t = _SPLIT * q1
+        ah = t - (t - q1)
+        al = q1 - ah
+        t = _SPLIT * d
+        bh = t - (t - d)
+        bl = d - bh
+        e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+        q2 = ((th - p) - e + tl) / d
+        th = q1 + q2
+        bb = th - q1
+        tl = (q1 - (th - bb)) + (q2 - bb)
+        # (sh, sl) += (th, tl)
+        s = sh + th
+        bb = s - sh
+        e = (sh - (s - bb)) + (th - bb)
+        e += sl + tl
+        sh = s + e
+        bb = sh - s
+        sl = (s - (sh - bb)) + (e - bb)
         # <= so subnormal-scale sums (threshold underflows to 0) converge
         if l > h and abs(th) <= 1e-40 * (abs(sh) + 1e-300):
             return sh + sl
@@ -153,55 +215,79 @@ def _series_j(m: int, z: float, max_terms: int) -> float:
     )
 
 
-def _miller_j(m: int, z: float) -> float:
-    """Backward recurrence from a seed order well above max(m, z).
+def _miller_start(m: int, z: float) -> int:
+    """Even seed order of the backward recurrence for J_m(z), well above max(m, z).
 
-    The start offset keeps the seed contamination below ~1e-15 relative over
-    the whole supported window (validated against the oracle in the tests).
+    The offset keeps the seed contamination below ~1e-15 relative over the
+    whole supported window (validated against the oracle in the tests).
     """
     start = max(m, int(z)) + 40 + int(2.0 * math.sqrt(z))
-    if start % 2:
-        start += 1
+    return start + start % 2
+
+
+def _miller_pass(lo: int, hi: int, z: float, start: int) -> list[float]:
+    """J_lo(z) .. J_hi(z) from one backward recurrence seeded at even order `start`.
+
+    The recurrence and its normalization do not depend on the captured
+    orders, so each value has the bits of a one-order pass from the same
+    seed: `_miller_j` when `start` is that order's own seed.  Each turn of
+    the loop takes an odd and then an even order, so no step tests parity;
+    each step keeps its own rescale test, which the bits depend on.
+    """
     fkp1 = 0.0
     fk = 1e-30
-    jm = 0.0
+    got = [0.0] * (hi - lo + 1)
     norm = 0.0
     comp = 0.0  # Neumaier compensation for the normalization sum
     two_over_z = 2.0 / z
-    for k in range(start, 0, -1):
+    limit = _RESCALE_LIMIT
+    for k in range(start, 0, -2):
+        # odd order k - 1
         fkm1 = k * two_over_z * fk - fkp1
         fkp1 = fk
         fk = fkm1
         order = k - 1
-        if order == m:
-            jm = fk
-        if order % 2 == 0:
-            t = fk if order == 0 else 2.0 * fk
-            s = norm + t
-            if abs(norm) >= abs(t):
-                comp += (norm - s) + t
-            else:
-                comp += (t - s) + norm
-            norm = s
-        if abs(fk) > _RESCALE_LIMIT:
-            fk *= _RESCALE
-            fkp1 *= _RESCALE
-            jm *= _RESCALE
-            norm *= _RESCALE
-            comp *= _RESCALE
+        # one test per step above the captured orders, as a one-order pass had
+        if order <= hi and order >= lo:
+            got[order - lo] = fk
+        if abs(fk) > limit:
+            fk, fkp1, norm, comp = fk * _RESCALE, fkp1 * _RESCALE, norm * _RESCALE, comp * _RESCALE
+            got = [v * _RESCALE for v in got]
+        # even order k - 2
+        fkm1 = (k - 1) * two_over_z * fk - fkp1
+        fkp1 = fk
+        fk = fkm1
+        order = k - 2
+        if order <= hi and order >= lo:
+            got[order - lo] = fk
+        t = fk if order == 0 else 2.0 * fk
+        s = norm + t
+        if abs(norm) >= abs(t):
+            comp += (norm - s) + t
+        else:
+            comp += (t - s) + norm
+        norm = s
+        if abs(fk) > limit:
+            fk, fkp1, norm, comp = fk * _RESCALE, fkp1 * _RESCALE, norm * _RESCALE, comp * _RESCALE
+            got = [v * _RESCALE for v in got]
     norm += comp
     if norm == 0.0 or not math.isfinite(norm):
         raise InternalConsistencyError(
-            f"backward recurrence normalization failed for J_{m}({z})"
+            f"backward recurrence normalization failed at z = {z}"
         )
-    return jm / norm
+    return [v / norm for v in got]
+
+
+def _miller_j(m: int, z: float) -> float:
+    """Backward recurrence for J_m(z) from its own seed order."""
+    return _miller_pass(m, m, z, _miller_start(m, z))[0]
 
 
 # Vector kernels.  The double-double primitives above are elementwise on
 # numpy arrays too (numpy rounds once per operation, which is all Dekker
 # arithmetic needs).  The vector product alone keeps its own form: it adds
-# its error terms as (e + a) + b, where `_dd_mul` adds e + (a + b), and
-# merging the two would change `bessel_j_many` bits.  Its multiplier is
+# its error terms as (e + a) + b, where the scalar series adds e + (a + b),
+# and merging the two would change `bessel_j_many` bits.  Its multiplier is
 # loop-invariant in the series, so the Dekker split of its high part is
 # made once per call (`_split`) instead of once per term.
 
@@ -300,10 +386,7 @@ def _miller_j_vec(orders: np.ndarray, z: np.ndarray) -> np.ndarray:
     seeds: dict[int, list[int]] = {}
     captures: dict[int, list[int]] = {}
     for row, (m, zm) in enumerate(zip(orders.tolist(), z_max)):
-        start = max(m, int(zm)) + 40 + int(2.0 * math.sqrt(zm))
-        if start % 2:
-            start += 1
-        seeds.setdefault(start, []).append(row)
+        seeds.setdefault(_miller_start(m, zm), []).append(row)
         captures.setdefault(m, []).append(row)
     fkp1 = np.zeros_like(z)
     fk = np.zeros_like(z)
@@ -503,6 +586,25 @@ def _bessel_j_with_derivatives(m: int, z: float) -> tuple[float, float, float]:
     _check_neighbours(m, 2, "second derivative")
     jm2, jm1, j, jp1, jp2 = (bessel_j(m + d, z) for d in range(-2, 3))
     return j, _prime(jm1, jp1), _second(jm2, j, jp2)
+
+
+def _bessel_j_and_prime(m: int, z: float) -> tuple[float, float]:
+    """(J_m(z), J'_m(z)) with the bits of `bessel_j` and `bessel_j_prime`.
+
+    In the backward-recurrence regime, when J_{m-1}, J_m and J_{m+1} share a
+    seed order (as they do once int(z) > m), one pass yields all three;
+    otherwise the values come from those two calls.
+    """
+    _validate(m, z)
+    _check_neighbours(m, 1, "derivative")
+    if (
+        m >= 1
+        and z > DEFAULT_CONFIG.series_switch_point
+        and _miller_start(m - 1, z) == _miller_start(m + 1, z)
+    ):
+        jm1, j, jp1 = _miller_pass(m - 1, m + 1, z, _miller_start(m, z))
+        return j, _prime(jm1, jp1)
+    return bessel_j(m, z), bessel_j_prime(m, z)
 
 
 def oracle_bessel_j(m: int, z, digits: int = 50) -> mp.mpf:

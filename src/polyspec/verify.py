@@ -56,6 +56,15 @@ __all__ = [
 # Largest radial grid `FdConfig` accepts: 25 times the finest grid the checks
 # use (4,000), and refused before anything is allocated.
 MAX_GRID_POINTS = 100_000
+# Largest |angular order| `FdConfig` accepts: far above the zero window's
+# 150, and refused before m * m can overflow a float in the matrix assembly.
+MAX_ANGULAR_ORDER = 10_000
+# LAPACK's Sturm-sequence bisection works with the squared off-diagonal
+# entries.  Entries outside this range have squares that leave the normal
+# floats, and the eigenvalues come back wrong without an error (radii above
+# ~1e78 at 2,000 points) or the solver fails (below ~1e-72).
+_FD_ENTRY_MIN = 1e-150
+_FD_ENTRY_MAX = 1e150
 
 
 class BoundaryCondition(enum.Enum):
@@ -84,14 +93,20 @@ class FdConfig:
             )
         if not (self.radius > 0.0) or not math.isfinite(self.radius):
             raise InvalidArgumentError(f"radius must be positive and finite, got {self.radius}")
+        if abs(self.angular_order) > MAX_ANGULAR_ORDER:
+            raise InvalidArgumentError(
+                f"need |angular order| <= {MAX_ANGULAR_ORDER}, got {self.angular_order}"
+            )
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # refused below instead
 def fd_radial_eigs(cfg: FdConfig, count: int) -> list[float]:
     """Smallest `count` eigenvalues of the discretized radial problem.
 
-    A radius so small or so large that the matrix overflows or underflows
-    raises UnsupportedRangeError.
+    A matrix whose entries the eigensolver cannot square within the normal
+    floats raises UnsupportedRangeError.  With 2,000 grid points and m = 0
+    that refuses radii outside about [3e-72, 2e78]; the window moves up with
+    the number of points, and its lower end rises with |m|.
     """
     if not (1 <= count <= 10):
         raise InvalidArgumentError("count must lie in [1, 10]")
@@ -119,8 +134,11 @@ def fd_radial_eigs(cfg: FdConfig, count: int) -> list[float]:
     # weight r: symmetrize T = W^{-1/2} A W^{-1/2}
     d = diag / r
     e = off / np.sqrt(r[:-1] * r[1:])
-    # the exact matrix is finite with a strictly negative off-diagonal
-    if not (np.isfinite(d).all() and ((-np.inf < e) & (e < 0.0)).all()):
+    # the exact matrix has a strictly negative off-diagonal; NaN fails too
+    if not (
+        (np.abs(d) <= _FD_ENTRY_MAX).all()
+        and ((-_FD_ENTRY_MAX <= e) & (e <= -_FD_ENTRY_MIN)).all()
+    ):
         raise UnsupportedRangeError(
             f"FD matrix not representable at radius {a}, order {m}, {n} grid points"
         )

@@ -8,10 +8,26 @@ Construction is inductive in the order:
 * each zero of J_{m+1} is bracketed by two consecutive zeros of J_m
   (interlacing), so level m+1 needs level m filled one index further.
 
-Every bracket is certified by an explicit sign change before bisection;
-a missing sign change aborts instead of guessing.  Refinement is bisection
-to a relative width of ~1e-13, then a few Newton steps (zeros are simple,
-so Newton converges quadratically).
+Every bracket is certified by an explicit sign change before refinement;
+a missing sign change aborts instead of guessing.  Each bracket holds
+exactly one zero, and it is simple (interlacing; Watson 15.22, DLMF 10.21).
+Refinement:
+
+* Illinois regula falsi narrows the bracket to an evaluated sign change
+  [a, b] no wider than the target width (~1e-13 relative);
+* bisection to that target width is then replayed: the same midpoints and
+  stopping tests as a plain bisection of the bracket, but J is evaluated
+  only at midpoints inside [a, b].  A midpoint below a takes the sign of
+  the lower end and one above b the sign of the upper end, since the one
+  zero lies in [a, b].  An end of the final enclosure whose sign was
+  inferred is evaluated before it is returned, so every enclosure rests on
+  evaluated signs at both ends; one that shows no sign change aborts.
+  Wherever the computed sign of J changes once in the bracket, enclosures
+  and values are bit for bit those of the plain bisection; every zero of
+  the window was checked, at the default width and at float resolution;
+* a few Newton steps polish the midpoint (quadratic convergence), each
+  from one backward-recurrence pass where J_{m-1}, J_m and J_{m+1} share
+  a seed.
 
 All zeros live in a `ZeroCache`: a monotone, thread-safe table keyed by
 (order, index) that also stores the final certified enclosures.
@@ -22,7 +38,7 @@ from __future__ import annotations
 import math
 import threading
 
-from .bessel import MAX_ARGUMENT, bessel_j, bessel_j_prime
+from .bessel import MAX_ARGUMENT, _bessel_j_and_prime, bessel_j
 from .errors import InternalConsistencyError, InvalidArgumentError, UnsupportedRangeError
 
 __all__ = [
@@ -141,46 +157,74 @@ class ZeroCache:
         for lvl in range(0, m + 1):
             need = j + (m - lvl)
             have = self._filled.get(lvl, 0)
+            f_end = None
             for idx in range(have + 1, need + 1):
-                self._compute(lvl, idx)
+                f_end = self._compute(lvl, idx, f_end)
             if need > have:
                 self._filled[lvl] = need
 
-    def _compute(self, m: int, j: int) -> None:
+    def _compute(self, m: int, j: int, f_lo: float | None) -> float | None:
+        """Fill (m, j); return J_m at the upper end of its bracket, if shared.
+
+        Above order 0 the bracket of (m, j + 1) starts where this one ends,
+        so that value, passed back as `f_lo`, is not evaluated twice.
+        """
         if m == 0:
             lo, hi = j0_bracket(j - 1)
         else:
             lo = self._table[(m - 1, j)][0]
             hi = self._table[(m - 1, j + 1)][0]
-        value, enclosure = self._refine(m, lo, hi)
+        value, enclosure, f_hi = self._refine(m, lo, hi, f_lo)
         self._table[(m, j)] = (value, enclosure)
+        return f_hi if m else None
 
-    def _refine(self, m: int, lo: float, hi: float) -> tuple[float, tuple[float, float]]:
-        flo = bessel_j(m, lo)
+    def _refine(
+        self, m: int, lo: float, hi: float, flo: float | None
+    ) -> tuple[float, tuple[float, float], float]:
+        if flo is None:
+            flo = bessel_j(m, lo)
         fhi = bessel_j(m, hi)
         if flo == 0.0 or fhi == 0.0 or (flo > 0.0) == (fhi > 0.0):
             raise InternalConsistencyError(
                 f"bracket ({lo}, {hi}) shows no sign change for J_{m}"
             )
         target = self._width_tol * max(1.0, hi)
+        a, b = _narrow(m, lo, flo, hi, fhi, target)
+        # Bisection replay: the bracket holds one zero, inside [a, b], so a
+        # midpoint outside [a, b] has the sign of the end on its side.
+        lo_pos = flo > 0.0
+        lo_seen = hi_seen = True  # endpoint sign evaluated, not inferred
         for _ in range(_MAX_BISECTIONS):
             if hi - lo <= target:
                 break
             mid = 0.5 * (lo + hi)
             if mid <= lo or mid >= hi:
                 break  # interval at float resolution
+            if mid < a:
+                lo, lo_seen = mid, False
+                continue
+            if mid > b:
+                hi, hi_seen = mid, False
+                continue
             fmid = bessel_j(m, mid)
             if fmid == 0.0:
                 lo = hi = mid
+                lo_seen = hi_seen = True
                 break
-            if (fmid > 0.0) == (flo > 0.0):
-                lo, flo = mid, fmid
+            if (fmid > 0.0) == lo_pos:
+                lo, lo_seen = mid, True
             else:
-                hi, fhi = mid, fmid
+                hi, hi_seen = mid, True
+        for x, seen, pos in ((lo, lo_seen, lo_pos), (hi, hi_seen, not lo_pos)):
+            if not seen:
+                fx = bessel_j(m, x)
+                if fx == 0.0 or (fx > 0.0) != pos:
+                    raise InternalConsistencyError(
+                        f"enclosure ({lo}, {hi}) of a zero of J_{m} shows no sign change"
+                    )
         x = 0.5 * (lo + hi)
         for _ in range(_MAX_NEWTON):
-            f = bessel_j(m, x)
-            df = bessel_j_prime(m, x)
+            f, df = _bessel_j_and_prime(m, x)
             if df == 0.0:
                 break
             step = f / df
@@ -191,4 +235,44 @@ class ZeroCache:
             x = xn
             if converged:
                 break
-        return x, (lo, hi)
+        return x, (lo, hi), fhi
+
+
+def _narrow(
+    m: int, lo: float, flo: float, hi: float, fhi: float, target: float
+) -> tuple[float, float]:
+    """Evaluated sign change [a, b] of J_m inside (lo, hi), at most `target` wide.
+
+    Illinois regula falsi: the secant point of the current bracket, with the
+    value at an end that is kept twice in a row halved, so both ends close in
+    superlinearly.  A secant point closer than half the target width to an
+    end is moved out to that distance, so once one end sits on the zero the
+    next point lands just across it and closes the bracket; a point that is
+    not strictly inside is replaced by the midpoint.  It stops early only at
+    float resolution or an exact zero.
+    """
+    step = 0.5 * target
+    a, fa, b, fb = lo, flo, hi, fhi
+    kept = 0  # -1: a was replaced last, +1: b was
+    for _ in range(_MAX_BISECTIONS):
+        if b - a <= target:
+            break
+        c = min(max(b - fb * (b - a) / (fb - fa), a + step), b - step)
+        if not (a < c < b):
+            c = 0.5 * (a + b)
+            if not (a < c < b):
+                break
+        fc = bessel_j(m, c)
+        if fc == 0.0:
+            break  # c is inside [a, b], where the replay evaluates every midpoint
+        if (fc > 0.0) == (fa > 0.0):
+            a, fa = c, fc
+            if kept == -1:
+                fb *= 0.5
+            kept = -1
+        else:
+            b, fb = c, fc
+            if kept == 1:
+                fa *= 0.5
+            kept = 1
+    return a, b

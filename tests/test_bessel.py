@@ -4,6 +4,7 @@ Expected values marked "oracle" below were computed with
 `oracle_bessel_j` (arbitrary-precision series) and frozen.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -19,9 +20,13 @@ from polyspec import (
     bessel_j_second,
     oracle_bessel_j,
 )
+from polyspec.bessel import _bessel_j_and_prime
 
 J1_AT_1 = 0.4400505857449335  # oracle, 30+ digits: 0.44005058574493351...
 J0_AT_2 = 0.22389077914123567  # oracle: 0.22389077914123566805...
+# sha256 of "m z J_m(z)" lines (floats in hex) over the sample of
+# `test_scalar_kernel_bits_pinned`
+KERNEL_SHA256 = "82791612373970f4d89af8e3f4cb81345f6a37f69663a5b99a876577fb0b8a6e"
 
 
 def test_value_at_origin():
@@ -56,6 +61,36 @@ def test_agreement_with_oracle_across_window():
         ref = float(oracle_bessel_j(m, z, 25))
         got = bessel_j(m, z)
         assert abs(got - ref) <= max(1e-12 * abs(ref), 1e-13), (m, z, got, ref)
+
+
+def test_scalar_kernel_bits_pinned():
+    rng = np.random.default_rng(2024)
+    points = [(0, 18.0), (7, 18.0), (-7, 18.0000001), (200, 500.0), (3, 1e-300), (150, 0.5)]
+    for i in range(2000):
+        z = rng.uniform(0.0, 18.0) if i % 2 == 0 else rng.uniform(18.0, 500.0)
+        points.append((int(rng.integers(-200, 201)), float(z)))
+    digest = hashlib.sha256()
+    for m, z in points:
+        digest.update(f"{m} {z.hex()} {bessel_j(m, z).hex()}\n".encode())
+    assert digest.hexdigest() == KERNEL_SHA256
+
+
+def test_shared_pass_matches_separate_calls():
+    rng = np.random.default_rng(29)
+    cases = []
+    for _ in range(150):  # int(z) > m: one pass for J_{m-1}, J_m, J_{m+1}
+        m = int(rng.integers(1, 199))
+        cases.append((m, float(rng.uniform(max(m + 1.0, 18.5), 500.0))))
+    cases += [(0, 30.0), (0, 250.0), (-3, 40.0)]  # m < 1
+    cases += [(5, 18.0), (5, 17.5), (3, 0.0), (30, 1e-9)]  # series regime, z <= 18
+    cases += [(40, 40.5), (41, 41.5)]  # int(z) == m: unequal seeds, then equal by parity
+    cases += [(60, 59.2), (199, 30.0), (120, 18.5)]  # m > z: unequal seeds
+    for m, z in cases:
+        got = _bessel_j_and_prime(m, z)
+        assert np.array_equal(_bits(got), _bits([bessel_j(m, z), bessel_j_prime(m, z)])), (m, z)
+    for m, z in ((200, 30.0), (-200, 30.0), (1, 500.5), (1, -1.0)):
+        with pytest.raises(UnsupportedRangeError):
+            _bessel_j_and_prime(m, z)
 
 
 def test_vector_evaluator_contract():

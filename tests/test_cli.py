@@ -318,7 +318,15 @@ def test_inverse_refuses_a_non_finite_sample(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--radius", "inf"], ["--radius", "1e-300"], ["--grid", str(MAX_GRID_POINTS + 1)]]
+    "flags",
+    [
+        ["--radius", "inf"],
+        ["--radius", "1e-300"],
+        ["--grid", str(MAX_GRID_POINTS + 1)],
+        ["--radius", "1e120"],
+        ["--radius", "1e-120"],
+        ["--order", "1" * 161, "--grid", "64"],
+    ],
 )
 def test_oracle_fd_refuses_unrepresentable_requests(capsys, flags):
     assert cli.main(["oracle", "fd", "--order", "0", "--bc", "dirichlet", *flags]) == 3

@@ -23,7 +23,7 @@ from polyspec import (
     selfcheck,
     sufficient_bounds,
 )
-from polyspec.verify import MAX_GRID_POINTS
+from polyspec.verify import MAX_ANGULAR_ORDER, MAX_GRID_POINTS
 
 LAM01_SQ = 5.783185962946785
 LAM11_SQ = 14.681970642123893
@@ -65,6 +65,25 @@ def test_fd_validation():
         for bc in BoundaryCondition:
             with pytest.raises(UnsupportedRangeError, match="not representable"):
                 fd_radial_eigs(FdConfig(64, radius, 1, bc), 1)
+
+
+def test_fd_refuses_orders_and_radii_it_cannot_solve():
+    # a 161-digit order used to overflow while the matrix was assembled
+    for m in (10**160, -(10**160), MAX_ANGULAR_ORDER + 1):
+        with pytest.raises(InvalidArgumentError, match="angular order"):
+            FdConfig(64, 1.0, m, BoundaryCondition.DIRICHLET)
+    assert FdConfig(64, 1.0, -MAX_ANGULAR_ORDER, BoundaryCondition.DIRICHLET).angular_order
+    # radius 1e120 used to return 8e-236 three times; 1e-120 failed in LAPACK
+    for radius in (1e120, 1e-120, 1e80, 1e-75):
+        for bc in BoundaryCondition:
+            with pytest.raises(UnsupportedRangeError, match="not representable"):
+                fd_radial_eigs(FdConfig(2000, radius, 3, bc), 3)
+    # inside the window the eigenvalues scale as 1/a^2 (m < 0: no zero mode)
+    for radius in (1e-70, 1e78):
+        for bc in BoundaryCondition:
+            unit = fd_radial_eigs(FdConfig(2000, 1.0, -3, bc), 3)
+            scaled = fd_radial_eigs(FdConfig(2000, radius, -3, bc), 3)
+            assert [v * radius**2 for v in scaled] == pytest.approx(unit, rel=1e-9)
 
 
 def test_fd_convergence_report(cache):

@@ -1,10 +1,13 @@
 """Certified Bessel zeros: brackets, interlacing, accuracy, cache behavior."""
 
+import hashlib
 import math
 import threading
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from mpmath import iv
 
 import polyspec.zeros as zeros_mod
 from polyspec import (
@@ -20,6 +23,9 @@ from polyspec import (
 LAM_0_1 = 2.404825557695773
 LAM_1_1 = 3.831705970207512
 LAM_0_2 = 5.520078110286311
+# sha256 of "m j value lo hi" lines (floats in hex) over every zero that
+# filling (m, 1) for m <= 150 makes: m + j <= 151, 11,476 zeros
+FILL_SHA256 = "3688fd481ac2f06389aa76809c151dc3cbd563d61791ab1593dfaa85cf0f7292"
 
 
 def test_first_zeros_frozen(cache):
@@ -116,6 +122,60 @@ def test_first_zero_monotone_and_exceeds_order(cache):
         assert lam > prev
         assert lam > m
         prev = lam
+    # the bits of every value and enclosure of that fill stay pinned
+    digest = hashlib.sha256()
+    for m in range(0, 151):
+        for j in range(1, 152 - m):
+            lo, hi = cache.enclosure(m, j)
+            digest.update(f"{m} {j} {cache.zero(m, j).hex()} {lo.hex()} {hi.hex()}\n".encode())
+    assert digest.hexdigest() == FILL_SHA256
+
+
+def _proven_sign(m, x):
+    """+1 or -1 where interval arithmetic proves the sign of J_m(x), else 0.
+
+    Sums the power series of J_m in `mpmath.iv` (its `besselj` is broken in
+    mpmath 1.3).  Once l(l + m) > x^2/4 the terms from the l-th on alternate
+    and shrink, so the l-th term bounds the tail.  The largest term is about
+    e^x times the result, hence ~1.45 x bits of precision on top of 128.
+    """
+    x_sq = Fraction(x) ** 2
+    saved = iv.prec
+    iv.prec = int(1.45 * x) + 128
+    try:
+        h = iv.mpf(x) / 2
+        ratio = -(h * h)
+        term = iv.mpf(1)
+        for i in range(1, m + 1):
+            term = term * h / i
+        total = iv.mpf(0)
+        for l in range(1, 2 * int(x) + 400):
+            total += term
+            term = term * ratio / (l * (l + m))
+            if 4 * l * (l + m) > x_sq:
+                tail = abs(term).b
+                if (total - tail).a > 0:
+                    return 1
+                if (total + tail).b < 0:
+                    return -1
+        return 0
+    finally:
+        iv.prec = saved
+
+
+def _proves_enclosure(m, lo, hi):
+    low, high = _proven_sign(m, lo), _proven_sign(m, hi)
+    return low != 0 and high == -low
+
+
+def test_corner_enclosures_have_proven_signs(cache):
+    # corners of the zero window (the fill above reached all of them)
+    for m, j in [(0, 1), (0, 150), (150, 1), (5, 30), (50, 20), (120, 30)]:
+        lo, hi = cache.enclosure(m, j)
+        assert _proves_enclosure(m, lo, hi), (m, j)
+        assert _proven_sign(m, lo) == math.copysign(1, bessel_j(m, lo))
+        # planted fault: an enclosure shifted by its own width holds no zero
+        assert not _proves_enclosure(m, hi, hi + (hi - lo)), (m, j)
 
 
 def test_high_order_accuracy_against_mpmath(cache):
@@ -144,6 +204,30 @@ def test_bracket_failure_aborts(monkeypatch):
     monkeypatch.setattr(zeros_mod, "bessel_j", lambda m, z, cfg=None: 1.0)
     with pytest.raises(InternalConsistencyError):
         ZeroCache().zero(0, 1)
+
+
+def test_inferred_endpoint_with_wrong_sign_aborts(monkeypatch):
+    # The replay infers the sign of a midpoint outside the narrowed bracket
+    # and evaluates such an end of the enclosure before returning it.  Flip
+    # J at one end of a clean enclosure: an inferred end must then abort; an
+    # end the replay evaluated instead steers it to another enclosure.
+    real = zeros_mod.bessel_j
+    aborted = 0
+    for j in range(1, 7):
+        clean = ZeroCache().enclosure(0, j)
+        for end in clean:
+
+            def flipped(m, z, cfg=None, end=end):
+                value = real(m, z)
+                return -value if z == end else value
+
+            monkeypatch.setattr(zeros_mod, "bessel_j", flipped)
+            try:
+                assert ZeroCache().enclosure(0, j) != clean
+            except InternalConsistencyError:
+                aborted += 1
+            monkeypatch.setattr(zeros_mod, "bessel_j", real)
+    assert aborted > 0
 
 
 def test_concurrent_fill_is_consistent():
