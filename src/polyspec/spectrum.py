@@ -28,22 +28,27 @@ Classes are sorted by (value, J) and grouped; point counts and families
 come from the class weights.
 
 `EigenMode` objects are made only where modes are asked for: a point's
-witnesses, `enumerate_modes` and `spectral_ops.expand_from_samples`, all
-through one flat pass over the sorted classes.  Numpy finds from the class
-weights how many modes each class gives before its point reaches the cap;
-the pass visits only those classes.  A class's per-variable factor tuples
-come from list-indexed tables filled on first use, its J/kind check runs
-once for all of its modes (they share J and the kind of every slot), and
-its modes are the product of those tuples, made without a second check.
-Each tuple ascends in angular order, so a class's product comes in factor-key
-order, and classes with equal value bits and equal J merge without a sort:
-every mode list is in `mode_sort_key` order.
+witnesses, `enumerate_modes` and `spectral_ops.expand_from_samples`.  A
+block is a run of classes with equal value bits and equal J.  Numpy finds
+from the class weights how many modes each block gives before its point
+reaches the cap, and the factor labels of those modes by index arithmetic:
+a class's mode i takes the sign of each oscillatory slot with nu >= 1 from
+one bit of i, the last slot's bit lowest.  That is the product order of
+the slots' label pairs, each ascending in angular order, so a class's
+modes come in factor-key order; a block of several classes (equal radii)
+is put in that order by one lexsort on per-slot label ranks.  A label
+(variable, list, row, sign) is made on first use, once per table, and
+checked then: the Dirichlet list's labels must be Dirichlet and the
+complement list's must not, which makes each mode's J/kind check.  The
+modes are made in C-level batches of a bounded number of candidates, with
+no Python frame per mode.  Every mode list is in `mode_sort_key` order.
 """
 
 from __future__ import annotations
 
+import collections
+import dataclasses
 import functools
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -113,25 +118,25 @@ class Polydisc:
 
 _DIRICHLET = FactorKind.DIRICHLET
 
-# kind -> name, read without the Enum `value` property in per-mode keys
-_KIND_NAME = {kind: kind.value for kind in FactorKind}
+# Candidate modes expanded at a time by `_ClassTable.expand`; bounds the
+# size of its temporaries, not its output.
+_CHUNK = 8192
 
 
-def _check_kinds(J: tuple[int, ...], slots) -> None:
-    """Raise unless exactly the variables in J carry Dirichlet factors.
+def _check_kind(k: int, in_J: bool, f: ModeFactor) -> None:
+    """Raise unless variable k carries a Dirichlet factor exactly if k is in J."""
+    if in_J != (f.kind is _DIRICHLET):
+        raise InvalidArgumentError(
+            f"variable {k} in J must carry a Dirichlet factor"
+            if in_J
+            else f"variable {k} not in J cannot be Dirichlet"
+        )
 
-    `slots` holds, per variable, the factors that may fill it: one factor
-    for a mode, or a class's label tuple for all of its modes at once.
-    """
-    for k, slot in enumerate(slots, start=1):
-        in_J = k in J
-        for f in slot:
-            if in_J != (f.kind is _DIRICHLET):
-                raise InvalidArgumentError(
-                    f"variable {k} in J must carry a Dirichlet factor"
-                    if in_J
-                    else f"variable {k} not in J cannot be Dirichlet"
-                )
+
+def _check_kinds(J: tuple[int, ...], factors: tuple[ModeFactor, ...]) -> None:
+    """Raise unless exactly the variables in J carry Dirichlet factors."""
+    for k, f in enumerate(factors, start=1):
+        _check_kind(k, k in J, f)
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,7 +148,7 @@ class EigenMode:
     value: float  # (1/4) sum of factor eigenvalues, fixed arithmetic path
 
     def __post_init__(self) -> None:
-        _check_kinds(self.J, zip(self.factors))
+        _check_kinds(self.J, self.factors)
 
     @property
     def has_holomorphic(self) -> bool:
@@ -160,7 +165,7 @@ class EigenMode:
         return FAMILY_MIXED
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpectralPoint:
     """A grouped eigenvalue.
 
@@ -177,38 +182,34 @@ class SpectralPoint:
     families: tuple[str, ...]
 
 
-_new_mode = object.__new__
-_set_J = EigenMode.J.__set__
-_set_factors = EigenMode.factors.__set__
-_set_value = EigenMode.value.__set__
+def _batch(cls, n: int, *columns) -> list:
+    """n instances of the slotted dataclass `cls`, made without `__init__`:
+    its fields, in order, are set from `columns`, one C-level pass per field
+    and no Python frame per instance.  The caller has made the checks."""
+    objs = list(map(object.__new__, itertools.repeat(cls, n)))
+    for field, column in zip(dataclasses.fields(cls), columns):
+        collections.deque(map(getattr(cls, field.name).__set__, objs, column), maxlen=0)
+    return objs
 
 
-def _make_mode(J: tuple[int, ...], factors: tuple[ModeFactor, ...], value: float) -> EigenMode:
-    """An `EigenMode` whose J/kind check its caller has already made."""
-    mode = _new_mode(EigenMode)
-    _set_J(mode, J)
-    _set_factors(mode, factors)
-    _set_value(mode, value)
-    return mode
+def _runs(items, counts):
+    """Each item repeated by its count, in order."""
+    return itertools.chain.from_iterable(map(itertools.repeat, items, counts))
 
 
 def _factor_key(f: ModeFactor) -> tuple:
-    return (_KIND_NAME[f.kind], f.angular_order, f.radial_index or 0)
-
-
-def _factors_key(factors: tuple[ModeFactor, ...]) -> tuple:
-    return tuple(map(_factor_key, factors))
+    return (f.kind._value_, f.angular_order, f.radial_index or 0)
 
 
 def mode_sort_key(mode: EigenMode) -> tuple:
-    return (mode.value, mode.J, _factors_key(mode.factors))
+    return (mode.value, mode.J, tuple(map(_factor_key, mode.factors)))
 
 
 def mode_descriptor(mode: EigenMode) -> tuple:
     """Canonical hashable descriptor, shared vocabulary with the oracle."""
     return (
         mode.J,
-        tuple((_KIND_NAME[f.kind], f.angular_order, f.radial_index) for f in mode.factors),
+        tuple((f.kind._value_, f.angular_order, f.radial_index) for f in mode.factors),
     )
 
 
@@ -225,6 +226,20 @@ class _Rows(NamedTuple):
     lam: np.ndarray
     nu: np.ndarray  # -1 marks the holomorphic slot
     j: np.ndarray
+
+
+class _Labels(NamedTuple):
+    """A class table's factor labels, by id.  Sign s (0 for the lower angular
+    order) of row r of variable k's Dirichlet list has id offset[k] + 2 r + s,
+    and of row r of its complement list offset[k] + 2 (size[k] + r) + s, so
+    id // 2 numbers the rows of all lists."""
+
+    offset: np.ndarray
+    size: np.ndarray  # rows of each variable's Dirichlet list
+    start: np.ndarray  # per variable and J_list entry: the id of row 0 of its list
+    nu: np.ndarray  # of each label's row; -1 marks the holomorphic slot
+    rank: np.ndarray  # place in factor-key order among the labels
+    factor: np.ndarray  # object: the ModeFactor, None until its row is built
 
 
 class _ClassTable:
@@ -370,65 +385,109 @@ class _ClassTable:
         take = np.clip(cap - before, 0, size)
         ends = np.cumsum(np.add.reduceat(take, first)).tolist()
         kept = take > 0
-        rows = iter(self.rows[:, np.repeat(kept, length)].T.tolist())
-        slot_labels = self._slot_labels
+        cls = np.flatnonzero(np.repeat(kept, length))
+        block, length, take = block[kept], length[kept], take[kept]
+        # each class gives at most its block's take to the block's first modes
+        count = np.minimum(self.weight[cls], np.repeat(take, length))
+        class_end = np.cumsum(length)
+        cand = np.add.reduceat(count, class_end - length)  # candidates per block
+        cand_end = np.cumsum(cand)
         out: list[EigenMode] = []
-        for value, index, count, t in zip(
-            v[block[kept]].tolist(),
-            J_index[block[kept]].tolist(),
-            length[kept].tolist(),
-            take[kept].tolist(),
-        ):
-            J = self.J_list[index]
-            labels = slot_labels[index]
-            if count == 1:
-                slots = self._slots(J, labels, next(rows))
-                combos = itertools.islice(itertools.product(*slots), t)
-            else:
-                # each class's product ascends by factor key, so merging keeps the order
-                products = [
-                    itertools.product(*self._slots(J, labels, next(rows))) for _ in range(count)
-                ]
-                combos = itertools.islice(heapq.merge(*products, key=_factors_key), t)
-            out.extend(map(_make_mode, itertools.repeat(J), combos, itertools.repeat(value)))
+        lo = 0
+        while lo < len(block):
+            # whole blocks, at most _CHUNK candidates unless one block has more
+            room = cand_end[lo] - cand[lo] + _CHUNK
+            hi = max(lo + 1, int(np.searchsorted(cand_end, room, "right")))
+            c = slice(class_end[lo] - length[lo], class_end[hi - 1])
+            b = slice(lo, hi)
+            out += self._block_modes(block[b], length[b], take[b], cls[c], count[c])
+            lo = hi
         return out, ends
+
+    def _block_modes(self, block, length, take, cls, count) -> list[EigenMode]:
+        """The first take[b] modes, in factor-key order, of each block b: the
+        length[b] classes from class block[b], whose entries in `cls` give
+        their first `count` modes as candidates."""
+        lab = self._labels
+        slot_id = lab.start[:, self.J_index[cls]] + 2 * self.rows[:, cls]
+        osc = lab.nu[slot_id] >= 1
+        # A class's local mode i takes the sign of each oscillatory slot from
+        # one bit of i, the last slot's lowest: itertools.product order of its
+        # slots' label tuples, each ascending in angular order.
+        shift = np.cumsum(osc[::-1], axis=0)[::-1] - osc
+        i = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        ids = np.repeat(slot_id, count, axis=1) + (
+            (i >> np.repeat(shift, count, axis=1)) & np.repeat(osc, count, axis=1)
+        )
+        cand = np.add.reduceat(count, np.cumsum(length) - length)
+        if (length > 1).any():
+            # several classes per block: sort each block by factor key, cut it at take
+            several = np.flatnonzero(np.repeat(length > 1, cand))
+            keys = lab.rank[ids[::-1, several]]
+            owner = np.repeat(np.arange(len(cand)), cand)
+            ids[:, several] = ids[:, several[np.lexsort((*keys, owner[several]))]]
+            position = np.arange(len(owner)) - np.repeat(np.cumsum(cand) - cand, cand)
+            ids = ids[:, position < np.repeat(take, cand)]
+        used = np.zeros(len(lab.factor) // 2, dtype=bool)
+        used[ids >> 1] = True
+        rows = np.flatnonzero(used)
+        for row in rows[np.equal(lab.factor[2 * rows], None)].tolist():
+            self._build_row(row)
+        take = take.tolist()
+        return _batch(
+            EigenMode,
+            ids.shape[1],
+            _runs(map(self.J_list.__getitem__, self.J_index[block].tolist()), take),
+            zip(*lab.factor[ids].tolist()),
+            _runs(self.value[block].tolist(), take),
+        )
 
     def modes(self) -> list[EigenMode]:
         """Every mode of the table, in `mode_sort_key` order."""
         return self.expand([0], int(self.weight.sum()))[0]
 
     @functools.cached_property
-    def _slot_labels(self) -> list[list[list[tuple[ModeFactor, ...] | None]]]:
-        """Per J and variable, the label tuple of each row of that variable's
-        list (Dirichlet in J, complement outside), None until first use."""
-        dirichlet = [[None] * len(t.lam) for t in self.dirichlet]
-        complement = [[None] * len(t.lam) for t in self.complement]
-        return [
-            [dirichlet[k] if k + 1 in J else complement[k] for k in range(len(self.radii))]
-            for J in self.J_list
-        ]
+    def _labels(self) -> _Labels:
+        n = len(self.radii)
+        size = np.array([len(t.lam) for t in self.dirichlet])
+        offset = np.cumsum(4 * size + 2) - (4 * size + 2)
+        nu = np.concatenate([np.append(d.nu, c.nu) for d, c in zip(self.dirichlet, self.complement)])
+        j = np.concatenate([np.append(d.j, c.j) for d, c in zip(self.dirichlet, self.complement)])
+        dirichlet = np.concatenate([np.arange(2 * t + 1) < t for t in size.tolist()])
+        nu, j, dirichlet = nu.repeat(2), j.repeat(2), dirichlet.repeat(2)
+        sign = np.tile((0, 1), len(nu) // 2)
+        # angular order: Dirichlet -nu, nu; Neumann-positive -nu - 1, nu - 1
+        m = np.where(dirichlet, 0, -1) - nu + 2 * nu * sign
+        m[nu < 0] = 0
+        kind = np.where(dirichlet, 0, np.where(nu < 0, 1, 2))  # ranks of the sorted kind names
+        rank = np.empty(len(nu), dtype=np.int64)
+        rank[np.lexsort((j, m, kind))] = np.arange(len(nu))
+        start = np.array(
+            [[offset[k] + 2 * size[k] * (k + 1 not in J) for J in self.J_list] for k in range(n)]
+        )
+        return _Labels(offset, size, start, nu, rank, np.full(len(nu), None, dtype=object))
 
-    def _slots(self, J: tuple[int, ...], labels, rows: list[int]) -> list[tuple[ModeFactor, ...]]:
-        """Per variable, the factors of one class, sorted by factor key and
-        checked against J once for all of the class's modes."""
-        slots = [
-            tab[row] or self._fill(tab, J, k, row)
-            for k, (tab, row) in enumerate(zip(labels, rows))
-        ]
-        _check_kinds(J, slots)
-        return slots
-
-    def _fill(self, tab: list, J: tuple[int, ...], k: int, row: int) -> tuple[ModeFactor, ...]:
-        t = self._list(J, k)
-        nu, j = int(t.nu[row]), int(t.j[row])
+    def _build_row(self, row: int) -> None:
+        """Make and check the labels of one row of a variable's list: the
+        Dirichlet list's must be Dirichlet, the complement list's not."""
+        lab = self._labels
+        k = int(np.searchsorted(lab.offset, 2 * row, "right")) - 1
+        r = row - lab.offset[k] // 2
+        in_J = bool(r < lab.size[k])
+        if in_J:
+            t = self.dirichlet[k]
+        else:
+            t, r = self.complement[k], r - lab.size[k]
+        nu, j = int(t.nu[r]), int(t.j[r])
         a = self.radii[k]
         if nu < 0:
             got = (holomorphic_factor(0, a),)
         else:
-            kind = FactorKind.DIRICHLET if k + 1 in J else FactorKind.NEUMANN_POSITIVE
+            kind = FactorKind.DIRICHLET if in_J else FactorKind.NEUMANN_POSITIVE
             got = row_factors(kind, nu, j, a, self.cache)
-        tab[row] = got
-        return got
+        for sign, f in enumerate(got):
+            _check_kind(k + 1, in_J, f)
+            lab.factor[2 * row + sign] = f
 
 
 def enumerate_modes(
@@ -460,11 +519,11 @@ def assemble_spectrum(
     not show them all.  Each point carries its first witness_cap >= 0 modes
     in `mode_sort_key` order.
 
-    Witnesses are built in one pass over the sorted classes, which skips
-    the classes of a point past its cap.  The J/kind check of
-    `EigenMode` runs once per class, on its per-variable factor tuples,
-    instead of once per mode; the public constructor still checks each
-    mode it is given.
+    Witnesses are found by index arithmetic on the sorted classes, which
+    skips the classes of a point past its cap, and made in batches.  The
+    J/kind check of `EigenMode` runs once per factor label, when the label
+    is made, instead of once per mode; the public constructor still checks
+    each mode it is given.
     """
     if not (group_tol > 0.0):
         raise InvalidArgumentError("group_tol must be positive")
@@ -477,23 +536,15 @@ def assemble_spectrum(
         return []
     starts, finite, infinite, family_bits = table.points(group_tol)
     witnesses, ends = table.expand(starts, witness_cap)
-    return [
-        SpectralPoint(
-            value=value,
-            finite_multiplicity=count,
-            infinite=inf,
-            witnesses=tuple(witnesses[lo:hi]),
-            families=_FAMILIES[bits],
-        )
-        for value, count, inf, bits, lo, hi in zip(
-            table.value[starts].tolist(),
-            finite.tolist(),
-            infinite.tolist(),
-            family_bits.tolist(),
-            [0] + ends[:-1],
-            ends,
-        )
-    ]
+    return _batch(
+        SpectralPoint,
+        len(starts),
+        table.value[starts].tolist(),
+        finite.tolist(),
+        infinite.tolist(),
+        map(tuple, map(witnesses.__getitem__, map(slice, [0] + ends[:-1], ends))),
+        map(_FAMILIES.__getitem__, family_bits.tolist()),
+    )
 
 
 def bottom(P: Polydisc, q: int, cache: ZeroCache) -> tuple[float, tuple[int, ...]]:

@@ -61,6 +61,11 @@ def j0_bracket(k: int) -> tuple[float, float]:
 
     The sign change of J_0 across the interval is checked explicitly.
     """
+    return _j0_bracket(k)[:2]
+
+
+def _j0_bracket(k: int) -> tuple[float, float, float, float]:
+    """`j0_bracket` plus the values of J_0 at its ends."""
     if k < 0:
         raise InvalidArgumentError("bracket index must be non-negative")
     lo = (k + 0.5) * math.pi
@@ -69,9 +74,10 @@ def j0_bracket(k: int) -> tuple[float, float]:
         raise UnsupportedRangeError(
             f"J_0 zero #{k + 1} needs evaluations beyond z = {MAX_ARGUMENT}"
         )
-    if bessel_j(0, lo) * bessel_j(0, hi) >= 0.0:
+    flo, fhi = bessel_j(0, lo), bessel_j(0, hi)
+    if flo * fhi >= 0.0:
         raise InternalConsistencyError(f"no sign change of J_0 on bracket #{k}")
-    return lo, hi
+    return lo, hi, flo, fhi
 
 
 class ZeroCache:
@@ -167,23 +173,23 @@ class ZeroCache:
         """Fill (m, j); return J_m at the upper end of its bracket, if shared.
 
         Above order 0 the bracket of (m, j + 1) starts where this one ends,
-        so that value, passed back as `f_lo`, is not evaluated twice.
+        so that value, passed back as `f_lo`, is not evaluated twice; a J_0
+        bracket comes with both of its end values.
         """
         if m == 0:
-            lo, hi = j0_bracket(j - 1)
+            lo, hi, f_lo, f_hi = _j0_bracket(j - 1)
         else:
             lo = self._table[(m - 1, j)][0]
             hi = self._table[(m - 1, j + 1)][0]
-        value, enclosure, f_hi = self._refine(m, lo, hi, f_lo)
-        self._table[(m, j)] = (value, enclosure)
+            if f_lo is None:
+                f_lo = bessel_j(m, lo)
+            f_hi = bessel_j(m, hi)
+        self._table[(m, j)] = self._refine(m, lo, hi, f_lo, f_hi)
         return f_hi if m else None
 
     def _refine(
-        self, m: int, lo: float, hi: float, flo: float | None
-    ) -> tuple[float, tuple[float, float], float]:
-        if flo is None:
-            flo = bessel_j(m, lo)
-        fhi = bessel_j(m, hi)
+        self, m: int, lo: float, hi: float, flo: float, fhi: float
+    ) -> tuple[float, tuple[float, float]]:
         if flo == 0.0 or fhi == 0.0 or (flo > 0.0) == (fhi > 0.0):
             raise InternalConsistencyError(
                 f"bracket ({lo}, {hi}) shows no sign change for J_{m}"
@@ -235,7 +241,7 @@ class ZeroCache:
             x = xn
             if converged:
                 break
-        return x, (lo, hi), fhi
+        return x, (lo, hi)
 
 
 def _narrow(

@@ -1,5 +1,7 @@
 """Spectrum enumeration, grouping, bottom formula, counting."""
 
+import dataclasses
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -20,7 +22,7 @@ from polyspec import (
     spectrum,
 )
 from polyspec.disc_modes import holomorphic_factor, row_factors
-from polyspec.spectrum import _ClassTable, mode_sort_key
+from polyspec.spectrum import SpectralPoint, _ClassTable, mode_sort_key
 
 BOTTOM_11 = 1.445796490736696  # lambda_{0,1}^2 / 4
 BOTTOM_12 = 0.361449122684174  # lambda_{0,1}^2 / 16
@@ -197,6 +199,39 @@ def test_witnesses_match_mode_by_mode_expansion(cache, radii, q, lam, cap):
     assert [p.witnesses for p in points] == _reference_witnesses(P, q, lam, cache, cap)
 
 
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("radii,q,lam", [((1.0, 1.0, 1.0), 1, 20.0), ((1.0, 1.0, 1.0, 1.0), 2, 12.0)])
+def test_witnesses_do_not_depend_on_the_chunk_size(cache, monkeypatch, radii, q, lam, chunk):
+    # chunks of 1 and 7 candidates cut the expansion between nearly all blocks
+    monkeypatch.setattr(spectrum, "_CHUNK", chunk)
+    P = Polydisc(radii)
+    for cap in (0, 1, 7, 8, 9, 1000):
+        points = assemble_spectrum(P, q, lam, cache=cache, witness_cap=cap)
+        assert [p.witnesses for p in points] == _reference_witnesses(P, q, lam, cache, cap)
+    points = assemble_spectrum(P, q, lam, cache=cache, witness_cap=10**9)
+    assert enumerate_modes(P, q, lam, cache) == [m for p in points for m in p.witnesses]
+
+
+def _spectrum_sha256(points):
+    h = hashlib.sha256()
+    for p in points:
+        h.update(repr((p.value.hex(), p.finite_multiplicity, p.infinite, p.families)).encode())
+        for w in p.witnesses:
+            h.update(repr((mode_descriptor(w), w.value.hex())).encode())
+    return h.hexdigest()
+
+
+def test_anchor_spectrum_bits_are_pinned(cache):
+    # the benchmark's anchor request at the default cap: 21,543 points whose
+    # witnesses span several expansion chunks; digest recorded before the
+    # witnesses were built by index arithmetic
+    points = assemble_spectrum(Polydisc((1, 2, 3)), 1, 30.0, cache=cache)
+    assert len(points) == 21543
+    assert _spectrum_sha256(points) == (
+        "912be2f74492f4f64ad3ffad5c15a1885df230aca24565aba5f75ec4b8e7a9ce"
+    )
+
+
 def test_wrong_kind_labels_are_refused_on_the_class_path(cache, monkeypatch):
     # a Dirichlet slot handed Neumann-positive labels, and the reverse
     swap = {
@@ -206,11 +241,30 @@ def test_wrong_kind_labels_are_refused_on_the_class_path(cache, monkeypatch):
     monkeypatch.setattr(
         spectrum, "row_factors", lambda kind, *args: row_factors(swap[kind], *args)
     )
-    P = Polydisc((1.0, 1.3))
-    with pytest.raises(InvalidArgumentError, match="Dirichlet"):
-        assemble_spectrum(P, 1, 12.0, cache=cache, witness_cap=1)
-    with pytest.raises(InvalidArgumentError, match="Dirichlet"):
-        enumerate_modes(P, 1, 12.0, cache)
+    # on equal radii the blocks hold several classes
+    for radii in ((1.0, 1.3), (1.0, 1.0, 1.0)):
+        P = Polydisc(radii)
+        with pytest.raises(InvalidArgumentError, match="Dirichlet"):
+            assemble_spectrum(P, 1, 12.0, cache=cache, witness_cap=1)
+        with pytest.raises(InvalidArgumentError, match="Dirichlet"):
+            enumerate_modes(P, 1, 12.0, cache)
+
+
+def test_spectral_point_is_a_slotted_frozen_dataclass(cache):
+    point = assemble_spectrum(Polydisc((1.0, 1.0)), 1, 3.0, cache=cache, witness_cap=1)[1]
+    fields = (point.value, point.finite_multiplicity, point.infinite, point.witnesses, point.families)
+    assert not hasattr(point, "__dict__")
+    again = SpectralPoint(*fields)
+    assert again == point and hash(again) == hash(point)
+    assert repr(point) == (
+        f"SpectralPoint(value={fields[0]!r}, finite_multiplicity={fields[1]!r}, "
+        f"infinite={fields[2]!r}, witnesses={fields[3]!r}, families={fields[4]!r})"
+    )
+    other = dataclasses.replace(point, finite_multiplicity=3)
+    assert other != point and other.finite_multiplicity == 3
+    assert (other.value, other.witnesses) == (point.value, point.witnesses)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        point.value = 0.0
 
 
 def test_public_constructor_still_checks_kinds(cache):

@@ -230,6 +230,23 @@ def test_inferred_endpoint_with_wrong_sign_aborts(monkeypatch):
     assert aborted > 0
 
 
+def test_j0_bracket_ends_are_evaluated_once(monkeypatch):
+    # A cold fill of the first ten J_0 zeros made 130 calls of bessel_j when
+    # the refinement evaluated both bracket ends again; it takes them from
+    # the bracket check now, two calls fewer per zero.
+    real = zeros_mod.bessel_j
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(zeros_mod, "bessel_j", counted)
+    ZeroCache().zero(0, 10)
+    assert calls == 130 - 2 * 10
+
+
 def test_concurrent_fill_is_consistent():
     fresh = ZeroCache()
     results = {}
