@@ -134,30 +134,30 @@ def zero_table(
 
 
 def row_factors(
-    kind: FactorKind, nu: int, j: int, a: float, cache: ZeroCache
+    kind: FactorKind, nu: int, j: int, a: float, lam: float
 ) -> tuple[ModeFactor, ...]:
-    """The factors of one oscillatory kind on the zero-table row (nu, j),
-    ascending in angular order.
+    """The factors of one oscillatory kind on the `zero_table` row (lam, nu, j),
+    ascending in angular order; each carries the row's lam as its eigenvalue.
 
     Dirichlet labels zero order nu with m = -nu and m = nu; Neumann-positive
     relabels it by |m + 1| = nu: m = -nu - 1 and m = nu - 1.  At nu = 0 the
     two labels coincide (m = 0, resp. m = -1), so the row holds one factor.
     """
-    if kind is FactorKind.DIRICHLET:
-        return tuple(dirichlet_factor(m, j, a, cache) for m in ((-nu, nu) if nu else (0,)))
-    if kind is FactorKind.NEUMANN_POSITIVE:
-        return tuple(neumann_factor(m, j, a, cache) for m in ((-nu - 1, nu - 1) if nu else (-1,)))
-    raise InvalidArgumentError("row_factors needs an oscillatory kind")
+    if kind not in (FactorKind.DIRICHLET, FactorKind.NEUMANN_POSITIVE):
+        raise InvalidArgumentError("row_factors needs an oscillatory kind")
+    shift = 1 if kind is FactorKind.NEUMANN_POSITIVE else 0
+    orders = (-nu - shift, nu - shift) if nu else (-shift,)
+    return tuple(ModeFactor(kind, m, j, a, lam) for m in orders)
 
 
 def _table_factors(
     kind: FactorKind, a: float, lambda_max: float, cache: ZeroCache
 ) -> list[ModeFactor]:
-    _, nus, js = zero_table(a, lambda_max, cache)
+    lams, nus, js = zero_table(a, lambda_max, cache)
     return [
         f
-        for nu, j in zip(nus.tolist(), js.tolist())
-        for f in row_factors(kind, nu, j, a, cache)
+        for lam, nu, j in zip(lams.tolist(), nus.tolist(), js.tolist())
+        for f in row_factors(kind, nu, j, a, lam)
     ]
 
 

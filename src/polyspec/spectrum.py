@@ -17,31 +17,32 @@ multiplicity (it lies in the essential spectrum).  The bottom of the
 spectrum, min over |J| = q of (lambda_{0,1}^2 / 4) * sum_{k in J} a_k^-2,
 is always of this kind.
 
-Enumeration works on radial classes, not modes.  Each disc's zero table
-(lambda_{nu,j} / a)^2 is read once per request into arrays; a class is J
-plus one table row per variable (the holomorphic slot, lambda = 0, heads
-each complement list).  Its modes are the +-m labels of its rows, 2 per
-oscillatory row with nu >= 1, and share its value bits.  For each J numpy
-forms the pruned sums of the tables left to right in variable order, then
-divides by 4, so every value has the bits of the mode-by-mode sum.
-Classes are sorted by (value, J) and grouped; point counts and families
-come from the class weights.
+Enumeration works on radial classes, not modes.  A holomorphic factor
+adds exactly 0.0 to a value, and both oscillatory kinds of a disc read one
+zero table (lambda_{nu,j} / a)^2 with the same weights, so no value depends
+on J.  A class is a set S of at least q variables plus one row of each of
+their zero tables, the other variables holomorphic; it stands for the
+rows' +-m labels (2 per row with nu >= 1) on each of the C(|S|, q) J's in
+S.  For each S numpy forms the pruned sums of S's tables left to right in
+variable order, then divides by 4, so every value has the bits of the
+mode-by-mode sum.  Classes are sorted by value and grouped; a class is
+infinite iff |S| < n, and point counts come from the class weights.
 
 `EigenMode` objects are made only where modes are asked for: a point's
 witnesses, `enumerate_modes` and `spectral_ops.expand_from_samples`.  A
-block is a run of classes with equal value bits and equal J.  Numpy finds
-from the class weights how many modes each block gives before its point
-reaches the cap, and the factor labels of those modes by index arithmetic:
-a class's mode i takes the sign of each oscillatory slot with nu >= 1 from
-one bit of i, the last slot's bit lowest.  That is the product order of
-the slots' label pairs, each ascending in angular order, so a class's
-modes come in factor-key order; a block of several classes (equal radii)
-is put in that order by one lexsort on per-slot label ranks.  A label
-(variable, list, row, sign) is made on first use, once per table, and
-checked then: the Dirichlet list's labels must be Dirichlet and the
-complement list's must not, which makes each mode's J/kind check.  The
-modes are made in C-level batches of a bounded number of candidates, with
-no Python frame per mode.  Every mode list is in `mode_sort_key` order.
+block is a run of classes with equal value bits.  Numpy finds from the
+class weights how many modes each block gives before its point reaches the
+cap, and the labels of those modes by index arithmetic: a class's mode i
+takes J as the (i >> b)-th q-subset of S, ascending, where b counts its
+slots with nu >= 1, and the sign of each such slot from one of the low b
+bits of i, the last slot's lowest.  So a class's modes come in (J, factor
+key) order; a block of several classes (equal radii) is put in that order
+by one lexsort.  A label (variable, slot, sign) is made on first use, once
+per table, and checked then: Dirichlet slots must hold Dirichlet factors
+and the holomorphic and Neumann-positive slots must not, which makes each
+mode's J/kind check.  The modes are made in C-level batches of a bounded
+number of candidates, with no Python frame per mode.  Every mode list is
+in `mode_sort_key` order.
 """
 
 from __future__ import annotations
@@ -133,12 +134,6 @@ def _check_kind(k: int, in_J: bool, f: ModeFactor) -> None:
         )
 
 
-def _check_kinds(J: tuple[int, ...], factors: tuple[ModeFactor, ...]) -> None:
-    """Raise unless exactly the variables in J carry Dirichlet factors."""
-    for k, f in enumerate(factors, start=1):
-        _check_kind(k, k in J, f)
-
-
 @dataclass(frozen=True, slots=True)
 class EigenMode:
     """One eigenmode: the q-tuple J (1-based) plus one factor per variable."""
@@ -148,7 +143,8 @@ class EigenMode:
     value: float  # (1/4) sum of factor eigenvalues, fixed arithmetic path
 
     def __post_init__(self) -> None:
-        _check_kinds(self.J, self.factors)
+        for k, f in enumerate(self.factors, start=1):
+            _check_kind(k, k in self.J, f)
 
     @property
     def has_holomorphic(self) -> bool:
@@ -192,11 +188,6 @@ def _batch(cls, n: int, *columns) -> list:
     return objs
 
 
-def _runs(items, counts):
-    """Each item repeated by its count, in order."""
-    return itertools.chain.from_iterable(map(itertools.repeat, items, counts))
-
-
 def _factor_key(f: ModeFactor) -> tuple:
     return (f.kind._value_, f.angular_order, f.radial_index or 0)
 
@@ -220,34 +211,30 @@ def _validate_q(P: Polydisc, q: int) -> None:
         )
 
 
-class _Rows(NamedTuple):
-    """One disc's factor list as table rows, ascending in lam."""
-
-    lam: np.ndarray
-    nu: np.ndarray  # -1 marks the holomorphic slot
-    j: np.ndarray
-
-
 class _Labels(NamedTuple):
-    """A class table's factor labels, by id.  Sign s (0 for the lower angular
-    order) of row r of variable k's Dirichlet list has id offset[k] + 2 r + s,
-    and of row r of its complement list offset[k] + 2 (size[k] + r) + s, so
-    id // 2 numbers the rows of all lists."""
+    """A class table's factor labels, by id.  Variable k lays its zero table
+    out as slots [holomorphic, Dirichlet rows, Neumann-positive rows]: slot
+    1 + r holds the Dirichlet and slot 1 + size[k] + r the Neumann-positive
+    factors of row r.  Sign s (0 for the lower angular order) of slot x has
+    id offset[k] + 2 x + s, so id // 2 numbers the slots of all variables."""
 
     offset: np.ndarray
-    size: np.ndarray  # rows of each variable's Dirichlet list
-    start: np.ndarray  # per variable and J_list entry: the id of row 0 of its list
+    size: np.ndarray  # rows of each variable's zero table
     nu: np.ndarray  # of each label's row; -1 marks the holomorphic slot
     rank: np.ndarray  # place in factor-key order among the labels
-    factor: np.ndarray  # object: the ModeFactor, None until its row is built
+    factor: np.ndarray  # object: the ModeFactor, None until its slot is built
 
 
 class _ClassTable:
-    """Radial classes below the cutoff, sorted by (value, J).
+    """Radial classes below the cutoff, sorted by value.
 
-    A class is a tuple J plus one row per variable: a (nu, j) row of the
-    disc's zero table, or the holomorphic slot.  All of its modes share the
-    value bits; it stands for 2 modes per oscillatory slot with nu >= 1.
+    A class is a set S of at least q variables plus one row of each of their
+    discs' zero tables; the other variables are holomorphic slots.  Its modes
+    take J among the q-subsets of S, with Dirichlet factors on J and
+    Neumann-positive ones on the rest of S, and share the value bits, so it
+    stands for C(|S|, q) times 2 modes per oscillatory slot with nu >= 1.
+    Under `only_J` the table keeps the sets S that contain it, and their
+    modes on that J alone.
     """
 
     def __init__(
@@ -263,80 +250,70 @@ class _ClassTable:
             raise InvalidArgumentError("lambda_max must be finite")
         n = P.n
         self.radii = P.radii
-        self.n_complement = n - q
-        self.cache = cache
-        self.J_list = [only_J] if only_J is not None else list(
-            itertools.combinations(range(1, n + 1), q)
-        )
+        self.q = q
+        self.Js: list[tuple[int, ...]] = []  # each set's J's in turn, ascending
         self.value = np.empty(0)
-        self.J_index = np.empty(0, dtype=np.int64)
-        self.rows = np.empty((n, 0), dtype=np.int64)
+        self.rows = np.empty((n, 0), dtype=np.int64)  # 1 + table row; 0 holomorphic
         self.weight = np.empty(0, dtype=np.int64)
-        self.holomorphic = np.empty(0, dtype=np.int64)
+        self.J_first = np.empty(0, dtype=np.int64)  # where the set's J's start in Js
         if lambda_max <= 0.0:
             return
         budget = 4.0 * lambda_max
         slack = _PRUNE_SLACK * max(1.0, budget)
         bound = budget + slack
         dmin = [(cache.zero(0, 1) / a) ** 2 for a in P.radii]
-        # One zero table per disc, cut where the q - 1 partners of disc k sit
-        # at their smallest ground values: the most room any J leaves it.  The
-        # pruned sums below cut it where a J leaves less.  Row 0 of a
-        # complement list is the holomorphic slot: lambda = 0, nu = -1.
-        self.dirichlet: list[_Rows] = []
-        self.complement: list[_Rows] = []
-        for k, a in enumerate(P.radii):
-            partners = sorted(dmin[:k] + dmin[k + 1 :])[: q - 1]
-            cap = budget - sum(partners) + slack  # final exact test filters
-            lam, nu, j = zero_table(a, cap, cache)
-            self.dirichlet.append(_Rows(lam, nu, j))
-            self.complement.append(_Rows(np.append(0.0, lam), np.append(-1, nu), np.append(0, j)))
+        # One zero table (lam, nu, j) per disc, ascending in lam, cut where the
+        # q - 1 partners of disc k sit at their smallest ground values: the
+        # most room any S leaves it.  The pruned sums below cut it where an S
+        # leaves less, and the final exact test filters.
+        caps = [budget - sum(sorted(dmin[:k] + dmin[k + 1 :])[: q - 1]) + slack for k in range(n)]
+        self.lam, self.nu, self.j = zip(*map(zero_table, P.radii, caps, [cache] * n))
 
         parts = []
-        for index, J in enumerate(self.J_list):
-            lists = [self._list(J, k) for k in range(n)]
-            if not all(len(t.lam) for t in lists):
+        # sets of q or more variables, as long as the smallest ground states fit
+        fit = itertools.takewhile(lambda size: sum(sorted(dmin)[:size]) <= bound, range(q, n + 1))
+        for S in (S for size in fit for S in itertools.combinations(range(1, n + 1), size)):
+            Js = [J for J in itertools.combinations(S, q) if only_J in (None, J)]
+            lists = [self.lam[k - 1] for k in S]
+            if not Js or not all(map(len, lists)):
                 continue
-            suffix_min = [0.0] * (n + 1)
-            for i in range(n - 1, -1, -1):
-                suffix_min[i] = suffix_min[i + 1] + lists[i].lam[0]
+            suffix_min = [*itertools.accumulate(t[0] for t in lists[::-1])][::-1] + [0.0]
+            if suffix_min[0] > bound:
+                continue  # the ground state of S is past the cutoff
             # The value of a mode is ((lambda_1 + lambda_2) + ...) / 4, summed
-            # left to right in variable order.  Lists ascend and rounding is
-            # monotone, so the prune keeps a prefix of each list per partial
-            # sum; columns that fail even the smallest partial sum are cut
-            # before the outer sum is formed.
+            # left to right in variable order; its holomorphic slots add exactly
+            # 0.0, so S's rows alone give the same bits.  Lists ascend and
+            # rounding is monotone, so the prune keeps a prefix of each list per
+            # partial sum; columns that fail even the smallest partial sum are
+            # cut before the outer sum is formed.
             partial = np.zeros(1)
             rows: list[np.ndarray] = []
             for i, t in enumerate(lists):
-                fits = partial.min(initial=np.inf) + t.lam + suffix_min[i + 1] <= bound
-                lam = t.lam[: np.count_nonzero(fits)]
+                fits = partial.min(initial=np.inf) + t + suffix_min[i + 1] <= bound
+                lam = t[: np.count_nonzero(fits)]
                 s = partial[:, None] + lam[None, :]
                 prev, row = np.nonzero(s + suffix_min[i + 1] <= bound)
                 partial = s[prev, row]
                 rows = [r[prev] for r in rows] + [row]
             value = partial / 4.0
             keep = value <= lambda_max
-            rows = [r[keep] for r in rows]
-            slot_nu = np.stack([t.nu[r] for t, r in zip(lists, rows)])
-            weight = 1 << np.count_nonzero(slot_nu >= 1, axis=0)
-            holomorphic = np.count_nonzero(slot_nu < 0, axis=0)
-            parts.append(
-                (value[keep], np.full(len(weight), index), np.stack(rows), weight, holomorphic)
-            )
+            full = np.zeros((n, np.count_nonzero(keep)), dtype=np.int64)
+            full[[k - 1 for k in S]] = np.stack(rows)[:, keep] + 1
+            weight = len(Js) << sum(self.nu[k - 1][r[keep]] >= 1 for k, r in zip(S, rows))
+            parts.append((value[keep], full, weight, np.full(len(weight), len(self.Js))))
+            self.Js += Js
+        # per entry of Js: the J's lexicographic rank, and which variables it holds
+        rank = {J: r for r, J in enumerate(sorted(set(self.Js)))}
+        self.J_rank = np.array([rank[J] for J in self.Js], dtype=np.int64)
+        self.J_member = np.array([[k in J for J in self.Js] for k in range(1, n + 1)], dtype=bool)
         if not parts:
             return
-        value, J_index, rows, weight, holomorphic = (
-            np.concatenate(cols, axis=-1) for cols in zip(*parts)
-        )
-        order = np.lexsort((J_index, value))
+        value, rows, weight, J_first = (np.concatenate(cols, axis=-1) for cols in zip(*parts))
+        order = np.argsort(value, kind="stable")
         self.value = value[order]
-        self.J_index = J_index[order]
         self.rows = rows[:, order]
         self.weight = weight[order]
-        self.holomorphic = holomorphic[order]
-
-    def _list(self, J: tuple[int, ...], k: int) -> _Rows:
-        return self.dirichlet[k] if k + 1 in J else self.complement[k]
+        self.J_first = J_first[order]
 
     def __len__(self) -> int:
         return len(self.value)
@@ -347,18 +324,18 @@ class _ClassTable:
         4 pure-neumann) per point.
 
         Adjacent values chain into one point while
-        cur - prev <= group_tol * max(cur, prev).
+        cur - prev <= group_tol * max(cur, prev).  A class is infinite iff
+        |S| < n, pure-neumann at |S| = n and pure-holomorphic at |S| = q.
         """
         v = self.value
         joined = v[1:] - v[:-1] <= group_tol * np.maximum(v[1:], v[:-1])
         starts = np.flatnonzero(np.concatenate(([True], ~joined)))
-        holomorphic = self.holomorphic > 0
-        finite = np.add.reduceat(np.where(holomorphic, 0, self.weight), starts)
-        infinite = np.logical_or.reduceat(holomorphic, starts)
-        family = np.where(
-            self.holomorphic == self.n_complement, 2, np.where(holomorphic, 1, 4)
-        )
-        return starts, finite, infinite, np.bitwise_or.reduceat(family, starts)
+        size = np.count_nonzero(self.rows, axis=0)
+        infinite = size < len(self.radii)
+        finite = np.add.reduceat(np.where(infinite, 0, self.weight), starts)
+        family = np.where(size == self.q, 2, np.where(infinite, 1, 4))
+        flag = np.logical_or.reduceat(infinite, starts)
+        return starts, finite, flag, np.bitwise_or.reduceat(family, starts)
 
     def expand(self, starts, cap: int) -> tuple[list[EigenMode], list[int]]:
         """The first `cap` modes of each run of classes, in one flat list.
@@ -371,10 +348,10 @@ class _ClassTable:
         if cap <= 0:
             return [], [0] * len(starts)
         n_classes = len(self)
-        v, J_index = self.value, self.J_index
-        # a block is a run of classes with equal value bits and equal J
+        v = self.value
+        # a block is a run of classes with equal value bits
         head = np.ones(n_classes, dtype=bool)
-        head[1:] = (v[1:] != v[:-1]) | (J_index[1:] != J_index[:-1])
+        head[1:] = v[1:] != v[:-1]
         head[starts] = True
         block = np.flatnonzero(head)
         length = np.diff(np.append(block, n_classes))
@@ -389,6 +366,25 @@ class _ClassTable:
         block, length, take = block[kept], length[kept], take[kept]
         # each class gives at most its block's take to the block's first modes
         count = np.minimum(self.weight[cls], np.repeat(take, length))
+        if (length > 1).any():
+            # A class gives its modes J by J, `unit` per J.  In a block of
+            # several classes, pair each class with the J's it has candidates
+            # on: a J with take modes of the block on lower J's is past the
+            # cut, and so are the class's later J's.
+            lab = self._labels
+            osc = lab.nu[lab.offset[:, None] + 2 * self.rows[:, cls]] >= 1
+            unit = 1 << np.count_nonzero(osc, axis=0)
+            n_J = np.where(np.repeat(length > 1, length), -(-count // unit), 0)
+            pair = np.repeat(np.arange(len(cls)), n_J)
+            t = np.arange(len(pair)) - np.repeat(np.cumsum(n_J) - n_J, n_J)
+            owner, R = np.repeat(np.arange(len(block)), length)[pair], len(self.Js)
+            key = owner * R + self.J_rank[self.J_first[cls[pair]] + t]  # (block, J) order
+            o = np.argsort(key)
+            pair, key = pair[o], key[o]
+            run = np.cumsum(unit[pair]) - unit[pair]  # modes of the pairs before
+            below = run[np.searchsorted(key, key)] - run[np.searchsorted(key, key // R * R)]
+            reached = np.bincount(pair[below < take[key // R]], minlength=len(cls))
+            count = np.where(n_J > 0, np.minimum(count, unit * reached), count)
         class_end = np.cumsum(length)
         cand = np.add.reduceat(count, class_end - length)  # candidates per block
         cand_end = np.cumsum(cand)
@@ -405,41 +401,47 @@ class _ClassTable:
         return out, ends
 
     def _block_modes(self, block, length, take, cls, count) -> list[EigenMode]:
-        """The first take[b] modes, in factor-key order, of each block b: the
-        length[b] classes from class block[b], whose entries in `cls` give
-        their first `count` modes as candidates."""
+        """The first take[b] modes, in (J, factor key) order, of each block b:
+        the length[b] classes from class block[b], whose entries in `cls`
+        give their first `count` modes as candidates."""
         lab = self._labels
-        slot_id = lab.start[:, self.J_index[cls]] + 2 * self.rows[:, cls]
-        osc = lab.nu[slot_id] >= 1
-        # A class's local mode i takes the sign of each oscillatory slot from
-        # one bit of i, the last slot's lowest: itertools.product order of its
-        # slots' label tuples, each ascending in angular order.
+        x = self.rows[:, cls]
+        base = lab.offset[:, None] + 2 * x  # each slot's holomorphic or Dirichlet label
+        osc = lab.nu[base] >= 1
+        # A class's local mode i takes J as the (i >> b)-th J of its set S,
+        # where b counts its oscillatory slots, and the sign of each such slot
+        # from one of the low b bits of i, the last slot's lowest: J first,
+        # then itertools.product order of its slots' label tuples, each
+        # ascending in angular order.
         shift = np.cumsum(osc[::-1], axis=0)[::-1] - osc
-        i = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-        ids = np.repeat(slot_id, count, axis=1) + (
-            (i >> np.repeat(shift, count, axis=1)) & np.repeat(osc, count, axis=1)
-        )
+        each = np.repeat(np.arange(len(cls)), count)
+        i = np.arange(len(each)) - np.repeat(np.cumsum(count) - count, count)
+        J = self.J_first[cls][each] + (i >> (shift[0] + osc[0])[each])
+        neumann = (x[:, each] > 0) & ~self.J_member[:, J]
+        sign = (i >> shift[:, each]) & osc[:, each]
+        ids = base[:, each] + 2 * lab.size[:, None] * neumann + sign
         cand = np.add.reduceat(count, np.cumsum(length) - length)
         if (length > 1).any():
-            # several classes per block: sort each block by factor key, cut it at take
+            # several classes per block: sort each block by (J, factor key), cut it at take
             several = np.flatnonzero(np.repeat(length > 1, cand))
-            keys = lab.rank[ids[::-1, several]]
             owner = np.repeat(np.arange(len(cand)), cand)
-            ids[:, several] = ids[:, several[np.lexsort((*keys, owner[several]))]]
+            keys = (*lab.rank[ids[::-1, several]], self.J_rank[J[several]], owner[several])
+            order = several[np.lexsort(keys)]
+            ids[:, several], J[several] = ids[:, order], J[order]
             position = np.arange(len(owner)) - np.repeat(np.cumsum(cand) - cand, cand)
-            ids = ids[:, position < np.repeat(take, cand)]
+            cut = position < np.repeat(take, cand)
+            ids, J = ids[:, cut], J[cut]
         used = np.zeros(len(lab.factor) // 2, dtype=bool)
         used[ids >> 1] = True
-        rows = np.flatnonzero(used)
-        for row in rows[np.equal(lab.factor[2 * rows], None)].tolist():
-            self._build_row(row)
-        take = take.tolist()
+        slots = np.flatnonzero(used)
+        for slot in slots[np.equal(lab.factor[2 * slots], None)].tolist():
+            self._build_slot(slot)
         return _batch(
             EigenMode,
             ids.shape[1],
-            _runs(map(self.J_list.__getitem__, self.J_index[block].tolist()), take),
+            map(self.Js.__getitem__, J.tolist()),
             zip(*lab.factor[ids].tolist()),
-            _runs(self.value[block].tolist(), take),
+            itertools.chain.from_iterable(map(itertools.repeat, self.value[block].tolist(), take)),
         )
 
     def modes(self) -> list[EigenMode]:
@@ -448,46 +450,39 @@ class _ClassTable:
 
     @functools.cached_property
     def _labels(self) -> _Labels:
-        n = len(self.radii)
-        size = np.array([len(t.lam) for t in self.dirichlet])
+        size = np.array([len(lam) for lam in self.lam])
         offset = np.cumsum(4 * size + 2) - (4 * size + 2)
-        nu = np.concatenate([np.append(d.nu, c.nu) for d, c in zip(self.dirichlet, self.complement)])
-        j = np.concatenate([np.append(d.j, c.j) for d, c in zip(self.dirichlet, self.complement)])
-        dirichlet = np.concatenate([np.arange(2 * t + 1) < t for t in size.tolist()])
-        nu, j, dirichlet = nu.repeat(2), j.repeat(2), dirichlet.repeat(2)
+        nu = np.concatenate([np.concatenate(([-1], nu, nu)) for nu in self.nu])
+        j = np.concatenate([np.concatenate(([0], j, j)) for j in self.j])
+        # ranks of the sorted kind names: dirichlet 0, holomorphic 1, neumann 2
+        kind = np.concatenate([np.repeat((1, 0, 2), (1, s, s)) for s in size.tolist()])
+        nu, j, kind = nu.repeat(2), j.repeat(2), kind.repeat(2)
         sign = np.tile((0, 1), len(nu) // 2)
         # angular order: Dirichlet -nu, nu; Neumann-positive -nu - 1, nu - 1
-        m = np.where(dirichlet, 0, -1) - nu + 2 * nu * sign
+        m = np.where(kind == 0, 0, -1) - nu + 2 * nu * sign
         m[nu < 0] = 0
-        kind = np.where(dirichlet, 0, np.where(nu < 0, 1, 2))  # ranks of the sorted kind names
         rank = np.empty(len(nu), dtype=np.int64)
         rank[np.lexsort((j, m, kind))] = np.arange(len(nu))
-        start = np.array(
-            [[offset[k] + 2 * size[k] * (k + 1 not in J) for J in self.J_list] for k in range(n)]
-        )
-        return _Labels(offset, size, start, nu, rank, np.full(len(nu), None, dtype=object))
+        return _Labels(offset, size, nu, rank, np.full(len(nu), None, dtype=object))
 
-    def _build_row(self, row: int) -> None:
-        """Make and check the labels of one row of a variable's list: the
-        Dirichlet list's must be Dirichlet, the complement list's not."""
+    def _build_slot(self, slot: int) -> None:
+        """Make and check the labels of one slot of a variable: a Dirichlet
+        slot's must be Dirichlet, the holomorphic and Neumann-positive ones'
+        not."""
         lab = self._labels
-        k = int(np.searchsorted(lab.offset, 2 * row, "right")) - 1
-        r = row - lab.offset[k] // 2
-        in_J = bool(r < lab.size[k])
-        if in_J:
-            t = self.dirichlet[k]
-        else:
-            t, r = self.complement[k], r - lab.size[k]
-        nu, j = int(t.nu[r]), int(t.j[r])
+        k = int(np.searchsorted(lab.offset, 2 * slot, "right")) - 1
+        x, size = slot - int(lab.offset[k]) // 2, int(lab.size[k])
         a = self.radii[k]
-        if nu < 0:
+        in_J = 0 < x <= size
+        if x == 0:
             got = (holomorphic_factor(0, a),)
         else:
+            r = (x - 1) % size
             kind = FactorKind.DIRICHLET if in_J else FactorKind.NEUMANN_POSITIVE
-            got = row_factors(kind, nu, j, a, self.cache)
+            got = row_factors(kind, int(self.nu[k][r]), int(self.j[k][r]), a, float(self.lam[k][r]))
         for sign, f in enumerate(got):
             _check_kind(k + 1, in_J, f)
-            lab.factor[2 * row + sign] = f
+            lab.factor[2 * slot + sign] = f
 
 
 def enumerate_modes(

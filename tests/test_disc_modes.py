@@ -18,7 +18,7 @@ from polyspec import (
     radial_profile,
     robin_residual,
 )
-from polyspec.disc_modes import zero_table
+from polyspec.disc_modes import row_factors, zero_table
 
 LAM01_SQ = 5.783185962946785
 LAM11_SQ = 14.681970642123893
@@ -146,3 +146,20 @@ def test_zero_table_refuses_coinciding_zeros(cache):
         zero_table(1.0, 30.0, Coinciding())
     with pytest.raises(InternalConsistencyError):
         dirichlet_factors(1.0, 30.0, Coinciding())
+
+
+@pytest.mark.parametrize("a", [1.0, 1.7])
+def test_row_factors_from_the_table_lam_equal_the_cached_factors(cache, a):
+    lams, nus, js = zero_table(a, 200.0, cache)
+    assert len(lams) > 20
+    for lam, nu, j in zip(lams.tolist(), nus.tolist(), js.tolist()):
+        orders = (-nu, nu) if nu else (0,)
+        assert row_factors(FactorKind.DIRICHLET, nu, j, a, lam) == tuple(
+            dirichlet_factor(m, j, a, cache) for m in orders
+        )
+        orders = (-nu - 1, nu - 1) if nu else (-1,)
+        assert row_factors(FactorKind.NEUMANN_POSITIVE, nu, j, a, lam) == tuple(
+            neumann_factor(m, j, a, cache) for m in orders
+        )
+    with pytest.raises(InvalidArgumentError):
+        row_factors(FactorKind.HOLOMORPHIC, 0, 1, a, 0.0)

@@ -1,5 +1,6 @@
 """Spectrum enumeration, grouping, bottom formula, counting."""
 
+import bisect
 import dataclasses
 import hashlib
 import itertools
@@ -21,7 +22,12 @@ from polyspec import (
     mode_descriptor,
     spectrum,
 )
-from polyspec.disc_modes import holomorphic_factor, row_factors
+from polyspec.disc_modes import (
+    dirichlet_factors,
+    holomorphic_factor,
+    neumann_factors,
+    row_factors,
+)
 from polyspec.spectrum import SpectralPoint, _ClassTable, mode_sort_key
 
 BOTTOM_11 = 1.445796490736696  # lambda_{0,1}^2 / 4
@@ -136,47 +142,52 @@ def test_enumeration_is_the_concatenated_witnesses(cache, radii, q, lam):
     )
 
 
-def _reference_witnesses(P, q, lam, cache, cap):
-    """Each point's witnesses, expanded mode by mode: per class the
-    itertools.product of its row factors through the public constructor,
-    blocks of equal value bits and equal J sorted by mode_sort_key, each
-    point cut to its first `cap` modes."""
-    table = _ClassTable(P, q, lam, cache)
-    if not len(table):
-        return []
-    starts = table.points(spectrum._GROUP_TOL)[0].tolist()
-    values, J_index, rows = table.value.tolist(), table.J_index.tolist(), table.rows.T.tolist()
+_REFERENCE_MODES: dict = {}
 
-    def labels(J, row):
-        out = []
-        for k, r in enumerate(row):
-            a = P.radii[k]
-            t = table.dirichlet[k] if k + 1 in J else table.complement[k]
-            nu, j = int(t.nu[r]), int(t.j[r])
-            kind = FactorKind.DIRICHLET if k + 1 in J else FactorKind.NEUMANN_POSITIVE
-            if nu < 0:
-                out.append((holomorphic_factor(0, a),))
-            else:
-                out.append(row_factors(kind, nu, j, a, cache))
-        return out
 
-    def modes(lo, hi):
-        c = lo
-        while c < hi:
-            d = c + 1
-            while d < hi and values[d] == values[c] and J_index[d] == J_index[c]:
-                d += 1
-            J = table.J_list[J_index[c]]
-            block = [
-                EigenMode(J, combo, values[c])
-                for k in range(c, d)
-                for combo in itertools.product(*labels(J, rows[k]))
+def _reference_modes(P, q, lam, cache):
+    """Every mode below lam, sorted by mode_sort_key: for each J a walk over
+    the public factor lists (Dirichlet on J, holomorphic then
+    Neumann-positive elsewhere), summing left to right and pruned by the
+    budget, each mode made by the public constructor."""
+    key = (P.radii, q, lam)
+    if key not in _REFERENCE_MODES:
+        budget = 4.0 * lam
+        bound = budget * (1.0 + 1e-9)
+        modes = []
+        for J in itertools.combinations(range(1, P.n + 1), q):
+            lists = [
+                dirichlet_factors(a, budget, cache)
+                if k + 1 in J
+                else [holomorphic_factor(0, a)] + neumann_factors(a, budget, cache)
+                for k, a in enumerate(P.radii)
             ]
-            yield from sorted(block, key=mode_sort_key) if d - c > 1 else block
-            c = d
+            floor = [sum(t[0].lambda_k for t in lists[k:]) for k in range(P.n + 1)]
 
-    ends = starts[1:] + [len(table)]
-    return [tuple(itertools.islice(modes(lo, hi), cap)) for lo, hi in zip(starts, ends)]
+            def walk(k, total, factors, J=J, lists=lists, floor=floor):
+                if k == P.n:
+                    if total / 4.0 <= lam:
+                        modes.append(EigenMode(J, factors, total / 4.0))
+                    return
+                for f in lists[k]:  # ascending in lambda_k
+                    if total + f.lambda_k + floor[k + 1] > bound:
+                        break
+                    walk(k + 1, total + f.lambda_k, factors + (f,))
+
+            if all(lists):
+                walk(0, 0.0, ())
+        _REFERENCE_MODES[key] = sorted(modes, key=mode_sort_key)
+    return _REFERENCE_MODES[key]
+
+
+def _reference_witnesses(P, q, lam, cache, cap):
+    """Each point's witnesses: the reference modes, each filed under the
+    last point whose value is <= its own, cut to the first `cap`."""
+    values = [p.value for p in assemble_spectrum(P, q, lam, cache=cache, witness_cap=0)]
+    filed = [[] for _ in values]
+    for m in _reference_modes(P, q, lam, cache):
+        filed[bisect.bisect_right(values, m.value) - 1].append(m)
+    return [tuple(w[:cap]) for w in filed]
 
 
 @pytest.mark.parametrize(
@@ -193,8 +204,8 @@ def _reference_witnesses(P, q, lam, cache, cap):
 def test_witnesses_match_mode_by_mode_expansion(cache, radii, q, lam, cap):
     P = Polydisc(radii)
     if radii[-1] == 2.2:
-        # a class with four oscillatory slots, nu >= 1: 16 modes, past the cap
-        assert 16 in _ClassTable(P, q, lam, cache).weight
+        # a class with four oscillatory slots, nu >= 1, and C(4, 1) J's: 64 modes
+        assert 4 * 16 in _ClassTable(P, q, lam, cache).weight
     points = assemble_spectrum(P, q, lam, cache=cache, witness_cap=cap)
     assert [p.witnesses for p in points] == _reference_witnesses(P, q, lam, cache, cap)
 
@@ -210,6 +221,92 @@ def test_witnesses_do_not_depend_on_the_chunk_size(cache, monkeypatch, radii, q,
         assert [p.witnesses for p in points] == _reference_witnesses(P, q, lam, cache, cap)
     points = assemble_spectrum(P, q, lam, cache=cache, witness_cap=10**9)
     assert enumerate_modes(P, q, lam, cache) == [m for p in points for m in p.witnesses]
+
+
+def test_blocks_of_several_classes_expand_no_J_past_the_cut(cache, monkeypatch):
+    # on equal radii a block holds many classes, each with C(6, 3) = 20 J's
+    # when |S| = 6; a J with the block's take modes on lower J's is not expanded
+    seen = []
+    block_modes = _ClassTable._block_modes
+
+    def record(self, block, length, take, cls, count):
+        seen.append((int(count.sum()), int(take.sum())))
+        return block_modes(self, block, length, take, cls, count)
+
+    monkeypatch.setattr(_ClassTable, "_block_modes", record)
+    assemble_spectrum(Polydisc((1.0,) * 6), 3, 14.0, cache=cache)
+    candidates, modes = map(sum, zip(*seen))
+    assert modes == 216 and candidates <= 3 * modes  # 4,060 candidates without the cut
+
+
+@pytest.mark.parametrize(
+    "radii,q,lam",
+    [
+        ((1.0, 1.0, 1.0), 1, 12.0),
+        ((1.0, 1.0, 1.0, 1.0), 2, 8.0),
+        ((1.0, 1.3, 2.0), 2, 14.0),
+        ((1.0, 1.3, 1.7, 2.2), 1, 10.0),
+    ],
+)
+def test_only_J_table_holds_the_modes_on_J(cache, radii, q, lam):
+    # the path of spectral_ops.expand_from_samples
+    P = Polydisc(radii)
+    modes = enumerate_modes(P, q, lam, cache)
+    for J in itertools.combinations(range(1, P.n + 1), q):
+        assert _ClassTable(P, q, lam, cache, J).modes() == [m for m in modes if m.J == J]
+
+
+_STRUCTURE_CASES = [
+    ((1.0, 1.3, 2.0), 14.0),
+    ((1.0, 1.3, 2.0, 2.5), 9.0),
+    ((1.0, 1.0, 1.0), 12.0),
+    ((0.7, 1.1, 1.9, 1.4), 8.0),
+]
+
+
+def _summary(points):
+    return [(p.value, p.finite_multiplicity, p.infinite, p.families) for p in points]
+
+
+@pytest.mark.parametrize("radii,lam", _STRUCTURE_CASES)
+def test_doubling_the_radii_quarters_every_value_exactly(cache, radii, lam):
+    for q in range(1, len(radii)):
+        points = assemble_spectrum(Polydisc(radii), q, lam, cache=cache, witness_cap=0)
+        doubled = assemble_spectrum(
+            Polydisc([2.0 * a for a in radii]), q, lam / 4.0, cache=cache, witness_cap=0
+        )
+        assert _summary(doubled) == [
+            (v / 4.0, finite, infinite, families) for v, finite, infinite, families in _summary(points)
+        ]
+
+
+@pytest.mark.parametrize("radii,lam", _STRUCTURE_CASES)
+def test_finite_part_is_the_dirichlet_spectrum_times_binomial(cache, radii, lam):
+    # every oscillatory set is all of the variables: C(n, q) choices of J
+    n = len(radii)
+    finite = {}
+    for q in range(1, n):
+        points = assemble_spectrum(Polydisc(radii), q, lam, cache=cache, witness_cap=0)
+        counts = {p.value: p.finite_multiplicity for p in points if p.finite_multiplicity}
+        assert all(c % math.comb(n, q) == 0 for c in counts.values())
+        finite[q] = {v: c // math.comb(n, q) for v, c in counts.items()}
+    assert finite[1]
+    assert all(finite[q] == finite[1] for q in finite)
+
+
+@pytest.mark.parametrize("radii,lam", _STRUCTURE_CASES)
+def test_essential_part_is_the_spectra_with_one_disc_removed(cache, radii, lam):
+    n = len(radii)
+    for q in range(1, n - 1):
+        points = assemble_spectrum(Polydisc(radii), q, lam, cache=cache, witness_cap=0)
+        removed = {
+            p.value
+            for k in range(n)
+            for p in assemble_spectrum(
+                Polydisc(radii[:k] + radii[k + 1 :]), q, lam, cache=cache, witness_cap=0
+            )
+        }
+        assert {p.value for p in points if p.infinite} == removed
 
 
 def _spectrum_sha256(points):
@@ -354,6 +451,15 @@ def test_bottom_matches_first_point_and_is_essential(cache):
         assert pts, (radii, q, val)
         assert pts[0].value == pytest.approx(val, rel=1e-12)
         assert pts[0].infinite
+
+
+def test_many_discs_visit_only_the_sets_that_fit(cache):
+    # 2^64 sets of variables; just above the bottom only single discs fit
+    P = Polydisc([1.0 + 0.01 * k for k in range(64)])
+    value, J = bottom(P, 1, cache)
+    points = assemble_spectrum(P, 1, 1.02 * value, cache=cache)
+    assert points[0].value == pytest.approx(value, rel=1e-12) and points[0].infinite
+    assert points[0].witnesses[0].J == J
 
 
 def test_bottom_monotone_in_radii(cache):
