@@ -70,6 +70,8 @@ class ModeFactor:
     def __post_init__(self) -> None:
         if not (self.radius > 0.0) or not math.isfinite(self.radius):
             raise InvalidArgumentError("factor radius must be positive and finite")
+        if not math.isfinite(self.lambda_k):
+            raise InvalidArgumentError(f"factor eigenvalue must be finite, got {self.lambda_k!r}")
         if self.kind is FactorKind.HOLOMORPHIC:
             if self.angular_order < 0:
                 raise InvalidArgumentError(

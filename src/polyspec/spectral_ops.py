@@ -90,12 +90,16 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def radial_quadrature(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [0, a] (plain dr weights)."""
+    if n < 1:
+        raise InvalidArgumentError(f"need at least 1 radial quadrature node, got {n}")
     x, w = _gauss_legendre(n)
     return 0.5 * a * (x + 1.0), 0.5 * a * w
 
 
 def angular_quadrature(t: int) -> tuple[np.ndarray, np.ndarray]:
     """Uniform angular nodes with trapezoid (equal) weights summing to 2 pi."""
+    if t < 1:
+        raise InvalidArgumentError(f"need at least 1 angular quadrature node, got {t}")
     theta = 2.0 * math.pi * np.arange(t) / t
     return theta, np.full(t, 2.0 * math.pi / t)
 
@@ -311,6 +315,8 @@ def expand(
     product and closed-form norms.  See `sample_on_grid` for the callable
     contract of f.
     """
+    if quad_nodes < 64:
+        raise InvalidArgumentError("need at least 64 radial quadrature nodes per dimension")
     F = sample_on_grid(f, P, quad_nodes, angular_nodes)
     return expand_from_samples(
         F, P, q, J, truncation_lambda, cache, quad_nodes, angular_nodes, p_max

@@ -23,10 +23,11 @@ zero table (lambda_{nu,j} / a)^2 with the same weights, so no value depends
 on J.  A class is a set S of at least q variables plus one row of each of
 their zero tables, the other variables holomorphic; it stands for the
 rows' +-m labels (2 per row with nu >= 1) on each of the C(|S|, q) J's in
-S.  For each S numpy forms the pruned sums of S's tables left to right in
-variable order, then divides by 4, so every value has the bits of the
-mode-by-mode sum.  Classes are sorted by value and grouped; a class is
-infinite iff |S| < n, and point counts come from the class weights.
+S.  One walk over the discs in variable order forms each set's pruned sums
+once, from those of the set it grew out of, then divides by 4, so every
+value has the bits of the mode-by-mode sum.  Classes are sorted by value
+and grouped; a class is infinite iff |S| < n, and point counts come from
+the class weights.
 
 `EigenMode` objects are made only where modes are asked for: a point's
 witnesses, `enumerate_modes` and `spectral_ops.expand_from_samples`.  A
@@ -37,12 +38,12 @@ takes J as the (i >> b)-th q-subset of S, ascending, where b counts its
 slots with nu >= 1, and the sign of each such slot from one of the low b
 bits of i, the last slot's lowest.  So a class's modes come in (J, factor
 key) order; a block of several classes (equal radii) is put in that order
-by one lexsort.  A label (variable, slot, sign) is made on first use, once
-per table, and checked then: Dirichlet slots must hold Dirichlet factors
-and the holomorphic and Neumann-positive slots must not, which makes each
-mode's J/kind check.  The modes are made in C-level batches of a bounded
-number of candidates, with no Python frame per mode.  Every mode list is
-in `mode_sort_key` order.
+by one lexsort.  Every label (variable, slot, sign) is made by `row_factors`
+when witnesses first need labels, and checked once: Dirichlet slots must
+hold Dirichlet factors and the holomorphic and Neumann-positive slots must
+not, which makes each mode's J/kind check.  The modes are made in C-level
+batches of a bounded number of candidates, with no Python frame per mode.
+Every mode list is in `mode_sort_key` order.
 """
 
 from __future__ import annotations
@@ -143,8 +144,15 @@ class EigenMode:
     value: float  # (1/4) sum of factor eigenvalues, fixed arithmetic path
 
     def __post_init__(self) -> None:
+        J, n = self.J, len(self.factors)
+        if not isinstance(J, tuple) or not all(
+            isinstance(k, int) and 1 <= k < l for k, l in zip(J, J[1:] + (n + 1,))
+        ):
+            raise InvalidArgumentError(f"J = {J!r} is not a strictly increasing tuple in 1..{n}")
+        if not math.isfinite(self.value):
+            raise InvalidArgumentError(f"mode value must be finite, got {self.value!r}")
         for k, f in enumerate(self.factors, start=1):
-            _check_kind(k, k in self.J, f)
+            _check_kind(k, k in J, f)
 
     @property
     def has_holomorphic(self) -> bool:
@@ -215,14 +223,14 @@ class _Labels(NamedTuple):
     """A class table's factor labels, by id.  Variable k lays its zero table
     out as slots [holomorphic, Dirichlet rows, Neumann-positive rows]: slot
     1 + r holds the Dirichlet and slot 1 + size[k] + r the Neumann-positive
-    factors of row r.  Sign s (0 for the lower angular order) of slot x has
-    id offset[k] + 2 x + s, so id // 2 numbers the slots of all variables."""
+    `row_factors` of row r.  Sign s (0 for the lower angular order) of slot
+    x has id offset[k] + 2 x + s, so id // 2 numbers the slots of all
+    variables; a slot with nu < 1 has one label, sign 0."""
 
     offset: np.ndarray
     size: np.ndarray  # rows of each variable's zero table
-    nu: np.ndarray  # of each label's row; -1 marks the holomorphic slot
     rank: np.ndarray  # place in factor-key order among the labels
-    factor: np.ndarray  # object: the ModeFactor, None until its slot is built
+    factor: np.ndarray  # object: the ModeFactor; None where a slot has one label
 
 
 class _ClassTable:
@@ -234,7 +242,8 @@ class _ClassTable:
     Neumann-positive ones on the rest of S, and share the value bits, so it
     stands for C(|S|, q) times 2 modes per oscillatory slot with nu >= 1.
     Under `only_J` the table keeps the sets S that contain it, and their
-    modes on that J alone.
+    modes on that J alone.  One walk over the discs forms each set's sums
+    once, from those of the set it grew out of.
     """
 
     def __init__(
@@ -254,66 +263,70 @@ class _ClassTable:
         self.Js: list[tuple[int, ...]] = []  # each set's J's in turn, ascending
         self.value = np.empty(0)
         self.rows = np.empty((n, 0), dtype=np.int64)  # 1 + table row; 0 holomorphic
+        self.paired = np.empty((n, 0), dtype=bool)  # slots with nu >= 1: two labels
         self.weight = np.empty(0, dtype=np.int64)
         self.J_first = np.empty(0, dtype=np.int64)  # where the set's J's start in Js
-        if lambda_max <= 0.0:
-            return
         budget = 4.0 * lambda_max
         slack = _PRUNE_SLACK * max(1.0, budget)
         bound = budget + slack
-        dmin = [(cache.zero(0, 1) / a) ** 2 for a in P.radii]
+        dmin = [(cache.zero(0, 1) / a) ** 2 for a in P.radii]  # each table's first lam
         # One zero table (lam, nu, j) per disc, ascending in lam, cut where the
         # q - 1 partners of disc k sit at their smallest ground values: the
-        # most room any S leaves it.  The pruned sums below cut it where an S
-        # leaves less, and the final exact test filters.
+        # most room any S leaves it.  The walk below cuts it where an S leaves
+        # less, and the final exact test filters.
         caps = [budget - sum(sorted(dmin[:k] + dmin[k + 1 :])[: q - 1]) + slack for k in range(n)]
         self.lam, self.nu, self.j = zip(*map(zero_table, P.radii, caps, [cache] * n))
-
-        parts = []
-        # sets of q or more variables, as long as the smallest ground states fit
-        fit = itertools.takewhile(lambda size: sum(sorted(dmin)[:size]) <= bound, range(q, n + 1))
-        for S in (S for size in fit for S in itertools.combinations(range(1, n + 1), size)):
-            Js = [J for J in itertools.combinations(S, q) if only_J in (None, J)]
-            lists = [self.lam[k - 1] for k in S]
-            if not Js or not all(map(len, lists)):
-                continue
-            suffix_min = [*itertools.accumulate(t[0] for t in lists[::-1])][::-1] + [0.0]
-            if suffix_min[0] > bound:
-                continue  # the ground state of S is past the cutoff
-            # The value of a mode is ((lambda_1 + lambda_2) + ...) / 4, summed
-            # left to right in variable order; its holomorphic slots add exactly
-            # 0.0, so S's rows alone give the same bits.  Lists ascend and
-            # rounding is monotone, so the prune keeps a prefix of each list per
-            # partial sum; columns that fail even the smallest partial sum are
-            # cut before the outer sum is formed.
-            partial = np.zeros(1)
-            rows: list[np.ndarray] = []
-            for i, t in enumerate(lists):
-                fits = partial.min(initial=np.inf) + t + suffix_min[i + 1] <= bound
-                lam = t[: np.count_nonzero(fits)]
-                s = partial[:, None] + lam[None, :]
-                prev, row = np.nonzero(s + suffix_min[i + 1] <= bound)
-                partial = s[prev, row]
-                rows = [r[prev] for r in rows] + [row]
-            value = partial / 4.0
-            keep = value <= lambda_max
-            full = np.zeros((n, np.count_nonzero(keep)), dtype=np.int64)
-            full[[k - 1 for k in S]] = np.stack(rows)[:, keep] + 1
-            weight = len(Js) << sum(self.nu[k - 1][r[keep]] >= 1 for k, r in zip(S, rows))
-            parts.append((value[keep], full, weight, np.full(len(weight), len(self.Js))))
-            self.Js += Js
+        # reserve[k][r]: the least ground-state sum of r discs after disc k + 1
+        reserve = [
+            [sum(sorted(dmin[k + 1 :])[:r]) if r < n - k else math.inf for r in range(q + 1)]
+            for k in range(n)
+        ]
+        # The value of a mode is ((lambda_1 + lambda_2) + ...) / 4, summed left
+        # to right in variable order, and a holomorphic slot adds exactly 0.0.
+        # So one walk over the discs forms every set's sums: each disc joins
+        # every live set S, extending its sums by the disc's rows, or is a
+        # holomorphic slot of S.  A join keeps a sum if the reserve of the discs
+        # S still needs fits beside it (a prefix of the ascending rows per sum).
+        # A set carries its least sum, so a join that cannot fit is free.
+        sets = [((), 0.0, np.zeros(1), np.zeros((n, 1), dtype=np.int64))]  # S, least sum, sums, rows
+        done = []
+        must = set(only_J or ())
+        for k, (lam, ground, room) in enumerate(zip(self.lam, dmin, reserve), start=1):
+            grown = []
+            for S, least, sums, rows in sets:
+                R = room[max(q - len(S) - 1, 0)]
+                if least + ground + R <= bound:
+                    t = lam[: np.count_nonzero(least + lam + R <= bound)]
+                    s = sums[:, None] + t[None, :]
+                    prev, row = np.nonzero(s + R <= bound)
+                    joined = rows[:, prev]
+                    joined[k - 1] = row + 1
+                    grown.append((S + (k,), least + ground, s[prev, row], joined))
+                if k not in must:
+                    grown.append((S, least, sums, rows))
+            # a set no later disc can join is done if it holds q discs and only_J
+            live = [least + room[max(q - len(S), 1)] <= bound for S, least, *_ in grown]
+            done += [g for g, ok in zip(grown, live) if not ok and len(g[0]) >= q and must <= {*g[0]}]
+            sets = list(itertools.compress(grown, live))
+        if not done:
+            return
+        S_list, _, sums, rows = zip(*done)
+        Js = [[only_J] if only_J else list(itertools.combinations(S, q)) for S in S_list]
+        n_J, size = list(map(len, Js)), list(map(len, sums))
+        self.Js = [J for set_Js in Js for J in set_Js]
+        value = np.concatenate(sums) / 4.0
+        rows = np.concatenate(rows, axis=1)
+        paired = np.array([np.append(False, nu >= 1)[r] for nu, r in zip(self.nu, rows)])
+        weight = np.repeat(n_J, size) << np.count_nonzero(paired, axis=0)
+        J_first = np.repeat(np.cumsum(n_J) - n_J, size)
+        keep = np.flatnonzero(value <= lambda_max)
+        order = keep[np.argsort(value[keep], kind="stable")]
+        self.value, self.rows, self.paired = value[order], rows[:, order], paired[:, order]
+        self.weight, self.J_first = weight[order], J_first[order]
         # per entry of Js: the J's lexicographic rank, and which variables it holds
         rank = {J: r for r, J in enumerate(sorted(set(self.Js)))}
         self.J_rank = np.array([rank[J] for J in self.Js], dtype=np.int64)
-        self.J_member = np.array([[k in J for J in self.Js] for k in range(1, n + 1)], dtype=bool)
-        if not parts:
-            return
-        value, rows, weight, J_first = (np.concatenate(cols, axis=-1) for cols in zip(*parts))
-        order = np.argsort(value, kind="stable")
-        self.value = value[order]
-        self.rows = rows[:, order]
-        self.weight = weight[order]
-        self.J_first = J_first[order]
+        self.J_member = (np.array(self.Js)[None] == np.arange(1, n + 1)[:, None, None]).any(axis=2)
 
     def __len__(self) -> int:
         return len(self.value)
@@ -371,9 +384,7 @@ class _ClassTable:
             # several classes, pair each class with the J's it has candidates
             # on: a J with take modes of the block on lower J's is past the
             # cut, and so are the class's later J's.
-            lab = self._labels
-            osc = lab.nu[lab.offset[:, None] + 2 * self.rows[:, cls]] >= 1
-            unit = 1 << np.count_nonzero(osc, axis=0)
+            unit = 1 << np.count_nonzero(self.paired[:, cls], axis=0)
             n_J = np.where(np.repeat(length > 1, length), -(-count // unit), 0)
             pair = np.repeat(np.arange(len(cls)), n_J)
             t = np.arange(len(pair)) - np.repeat(np.cumsum(n_J) - n_J, n_J)
@@ -407,7 +418,7 @@ class _ClassTable:
         lab = self._labels
         x = self.rows[:, cls]
         base = lab.offset[:, None] + 2 * x  # each slot's holomorphic or Dirichlet label
-        osc = lab.nu[base] >= 1
+        osc = self.paired[:, cls]
         # A class's local mode i takes J as the (i >> b)-th J of its set S,
         # where b counts its oscillatory slots, and the sign of each such slot
         # from one of the low b bits of i, the last slot's lowest: J first,
@@ -431,11 +442,6 @@ class _ClassTable:
             position = np.arange(len(owner)) - np.repeat(np.cumsum(cand) - cand, cand)
             cut = position < np.repeat(take, cand)
             ids, J = ids[:, cut], J[cut]
-        used = np.zeros(len(lab.factor) // 2, dtype=bool)
-        used[ids >> 1] = True
-        slots = np.flatnonzero(used)
-        for slot in slots[np.equal(lab.factor[2 * slots], None)].tolist():
-            self._build_slot(slot)
         return _batch(
             EigenMode,
             ids.shape[1],
@@ -450,39 +456,24 @@ class _ClassTable:
 
     @functools.cached_property
     def _labels(self) -> _Labels:
+        """Every label of the table, each checked once: a Dirichlet slot's
+        must be Dirichlet, the holomorphic and Neumann-positive ones' not."""
         size = np.array([len(lam) for lam in self.lam])
         offset = np.cumsum(4 * size + 2) - (4 * size + 2)
-        nu = np.concatenate([np.concatenate(([-1], nu, nu)) for nu in self.nu])
-        j = np.concatenate([np.concatenate(([0], j, j)) for j in self.j])
-        # ranks of the sorted kind names: dirichlet 0, holomorphic 1, neumann 2
-        kind = np.concatenate([np.repeat((1, 0, 2), (1, s, s)) for s in size.tolist()])
-        nu, j, kind = nu.repeat(2), j.repeat(2), kind.repeat(2)
-        sign = np.tile((0, 1), len(nu) // 2)
-        # angular order: Dirichlet -nu, nu; Neumann-positive -nu - 1, nu - 1
-        m = np.where(kind == 0, 0, -1) - nu + 2 * nu * sign
-        m[nu < 0] = 0
-        rank = np.empty(len(nu), dtype=np.int64)
-        rank[np.lexsort((j, m, kind))] = np.arange(len(nu))
-        return _Labels(offset, size, nu, rank, np.full(len(nu), None, dtype=object))
-
-    def _build_slot(self, slot: int) -> None:
-        """Make and check the labels of one slot of a variable: a Dirichlet
-        slot's must be Dirichlet, the holomorphic and Neumann-positive ones'
-        not."""
-        lab = self._labels
-        k = int(np.searchsorted(lab.offset, 2 * slot, "right")) - 1
-        x, size = slot - int(lab.offset[k]) // 2, int(lab.size[k])
-        a = self.radii[k]
-        in_J = 0 < x <= size
-        if x == 0:
-            got = (holomorphic_factor(0, a),)
-        else:
-            r = (x - 1) % size
-            kind = FactorKind.DIRICHLET if in_J else FactorKind.NEUMANN_POSITIVE
-            got = row_factors(kind, int(self.nu[k][r]), int(self.j[k][r]), a, float(self.lam[k][r]))
-        for sign, f in enumerate(got):
-            _check_kind(k + 1, in_J, f)
-            lab.factor[2 * slot + sign] = f
+        factor = []
+        for k, a, nus, js, lams in zip(itertools.count(1), self.radii, self.nu, self.j, self.lam):
+            rows = list(zip(nus.tolist(), js.tolist(), lams.tolist()))
+            slots = [(False, (holomorphic_factor(0, a),))]
+            for kind in (_DIRICHLET, FactorKind.NEUMANN_POSITIVE):
+                slots += [(kind is _DIRICHLET, row_factors(kind, nu, j, a, lam)) for nu, j, lam in rows]
+            for in_J, got in slots:
+                for f in got:
+                    _check_kind(k, in_J, f)
+                factor += (*got, None)[:2]
+        made = [i for i, f in enumerate(factor) if f is not None]
+        rank = np.zeros(len(factor), dtype=np.int64)
+        rank[sorted(made, key=lambda i: _factor_key(factor[i]))] = np.arange(len(made))
+        return _Labels(offset, size, rank, np.array(factor, dtype=object))
 
 
 def enumerate_modes(

@@ -1,5 +1,7 @@
 """Per-variable separated modes: factor lists, Robin residuals, profiles."""
 
+import math
+
 import pytest
 
 from polyspec import (
@@ -115,6 +117,11 @@ def test_holomorphic_exponent_validation():
         holomorphic_factor(-1, 1.0)
     f = holomorphic_factor(2, 1.0)
     assert f.kind is FactorKind.HOLOMORPHIC and f.lambda_k == 0.0
+
+
+def test_infinite_factor_eigenvalue_is_refused():
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        ModeFactor(FactorKind.DIRICHLET, 0, 1, 1.0, math.inf)
 
 
 def test_factor_lists_match_fd_oracle(cache):

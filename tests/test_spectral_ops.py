@@ -242,6 +242,24 @@ def test_expand_validation(cache):
         expand(inf, P11, 1, (1,), 8.0, cache, p_max=4)
 
 
+def test_bad_node_counts_are_refused_before_sampling(cache):
+    called = []
+
+    def f(z1, z2):
+        called.append(True)
+        return np.ones(np.broadcast(z1, z2).shape, dtype=complex)
+
+    for nodes in ({"quad_nodes": 0}, {"quad_nodes": 63}, {"angular_nodes": 0}, {"angular_nodes": -4}):
+        with pytest.raises(InvalidArgumentError, match="quadrature node"):
+            expand(f, P11, 1, (1,), 8.0, cache, **nodes)
+    assert not called
+    for bad in (0, -4):
+        with pytest.raises(InvalidArgumentError, match="radial quadrature node"):
+            radial_quadrature(1.0, bad)
+        with pytest.raises(InvalidArgumentError, match="angular quadrature node"):
+            angular_quadrature(bad)
+
+
 def test_non_finite_sample_is_refused(cache):
     F = np.ones((64, 32, 64, 32), dtype=complex)
     assert len(expand_from_samples(F, P11, 1, (1,), 8.0, cache, p_max=4).terms) == 39

@@ -25,6 +25,7 @@ from polyspec import (
 from polyspec.disc_modes import (
     dirichlet_factors,
     holomorphic_factor,
+    neumann_factor,
     neumann_factors,
     row_factors,
 )
@@ -196,6 +197,8 @@ def _reference_witnesses(P, q, lam, cache, cap):
         ((1.0, 1.0, 1.0), 1, 20.0),
         ((1.0, 1.0, 1.0, 1.0), 2, 12.0),
         ((1.0, 1.3, 1.7, 2.2), 1, 10.0),
+        ((1.0, 1.1, 1.3, 1.6, 2.0, 2.4), 1, 6.0),  # all 63 sets fit: 20,218 modes
+        ((1.0,) * 6, 3, 14.0),  # C(6, 3) J's per class of six slots: the J cut runs
     ],
 )
 # on the equal radii, caps 1, 7, 8 and 9 stop inside blocks of several classes,
@@ -246,6 +249,7 @@ def test_blocks_of_several_classes_expand_no_J_past_the_cut(cache, monkeypatch):
         ((1.0, 1.0, 1.0, 1.0), 2, 8.0),
         ((1.0, 1.3, 2.0), 2, 14.0),
         ((1.0, 1.3, 1.7, 2.2), 1, 10.0),
+        ((1.0, 1.0, 3.0), 1, 3.0),  # S = (1, 2) is done before disc 3 and lacks J = (3,)
     ],
 )
 def test_only_J_table_holds_the_modes_on_J(cache, radii, q, lam):
@@ -346,6 +350,17 @@ def test_wrong_kind_labels_are_refused_on_the_class_path(cache, monkeypatch):
         with pytest.raises(InvalidArgumentError, match="Dirichlet"):
             enumerate_modes(P, 1, 12.0, cache)
 
+    # disc 1's Neumann-positive labels made Dirichlet: no witness at cap 1
+    # uses them, but every label is checked once made
+    def fault(kind, nu, j, a, lam):
+        if kind is FactorKind.NEUMANN_POSITIVE and a == 1.0:
+            kind = FactorKind.DIRICHLET
+        return row_factors(kind, nu, j, a, lam)
+
+    monkeypatch.setattr(spectrum, "row_factors", fault)
+    with pytest.raises(InvalidArgumentError, match="variable 1 not in J cannot be Dirichlet"):
+        assemble_spectrum(Polydisc((1.0, 1.3)), 1, 12.0, cache=cache, witness_cap=1)
+
 
 def test_spectral_point_is_a_slotted_frozen_dataclass(cache):
     point = assemble_spectrum(Polydisc((1.0, 1.0)), 1, 3.0, cache=cache, witness_cap=1)[1]
@@ -372,6 +387,27 @@ def test_public_constructor_still_checks_kinds(cache):
         EigenMode((1,), (mode.factors[0], mode.factors[0]), mode.value)
     assert EigenMode(mode.J, mode.factors, mode.value) == mode
     assert not hasattr(mode, "__dict__")  # slotted
+
+
+def _holomorphic_and_neumann(cache):
+    return (holomorphic_factor(0, 1.0), neumann_factor(0, 1, 1.0, cache))
+
+
+@pytest.mark.parametrize("J", [(3,), (2, 1), (1, 1), (0,), [1]])
+def test_malformed_J_is_refused(cache, J):
+    with pytest.raises(InvalidArgumentError, match="strictly increasing tuple"):
+        EigenMode(J, _holomorphic_and_neumann(cache), 1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_mode_value_is_refused(cache, value):
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        EigenMode((), _holomorphic_and_neumann(cache), value)
+
+
+def test_empty_J_and_zero_value_stay_legal(cache):
+    mode = EigenMode((), _holomorphic_and_neumann(cache), 0.0)
+    assert mode.J == () and mode.value == 0.0
 
 
 def test_bottom_examples(cache):
