@@ -17,9 +17,11 @@ three-term recurrences, never from finite differences.
 
 `bessel_j` evaluates one value.  `bessel_j_many` evaluates arrays: one
 order over any array of arguments, or one order per row of a 2-D argument
-array, where every row gets exactly the bits of its own one-order call.
-Each regime then runs once for all rows, which is what makes stacks of
-short rows (one radial profile per row) cheap.
+array.  It works on flat lanes of (|m|, z), and each lane replays the
+scalar kernel of its regime, so every value has exactly the bits of
+`bessel_j(m, z)`.  Each regime runs once for all lanes, which is what makes
+a whole stack of radial profiles cheap in one call; a single value is
+cheaper from `bessel_j`.
 
 A slow arbitrary-precision series (`oracle_bessel_j`, mpmath-backed) is
 provided as independent ground truth for the test suite.
@@ -88,6 +90,13 @@ DEFAULT_CONFIG = EvalConfig()
 # double-double primitives (error-free transformations)
 # ---------------------------------------------------------------------------
 
+def _split(a):
+    """Dekker's split of a into a high half and the exact rest."""
+    t = _SPLIT * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
 def _two_sum(a: float, b: float) -> tuple[float, float]:
     s = a + b
     bb = s - a
@@ -96,19 +105,31 @@ def _two_sum(a: float, b: float) -> tuple[float, float]:
 
 def _two_prod(a: float, b: float) -> tuple[float, float]:
     p = a * b
-    t = _SPLIT * a
-    ah = t - (t - a)
-    al = a - ah
-    t = _SPLIT * b
-    bh = t - (t - b)
-    bl = b - bh
+    ah, al = _split(a)
+    bh, bl = _split(b)
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
+def _dd_mul(xh, xl, yh, yl, yh_split):
+    """(xh, xl) * (yh, yl) with `yh_split = _split(yh)`, so that a
+    loop-invariant multiplier is split once; the error terms add as
+    e + (a + b)."""
+    p = xh * yh
+    ah, al = _split(xh)
+    bh, bl = yh_split
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    e += xh * yl + xl * yh
+    return _two_sum(p, e)
+
+
 def _dd_div_d(xh: float, xl: float, d: float) -> tuple[float, float]:
+    """(xh, xl) / d with `_two_prod`'s bits for an integer d < 2**26, as every
+    series term in the window has: d splits as (d, 0.0), and the products
+    with that 0.0 add nothing, since the sums they join are never -0.0."""
     q1 = xh / d
-    p, e = _two_prod(q1, d)
-    q2 = ((xh - p) - e + xl) / d
+    p = q1 * d
+    ah, al = _split(q1)
+    q2 = ((xh - p) - ((ah * d - p) + al * d) + xl) / d
     return _two_sum(q1, q2)
 
 
@@ -125,11 +146,11 @@ def _dd_add(xh: float, xl: float, yh: float, yl: float) -> tuple[float, float]:
 def _series_j(m: int, z: float, max_terms: int) -> float:
     """Alternating power series in double-double arithmetic.
 
-    The Dekker steps of the vector kernel's primitives (`_two_prod`,
-    `_dd_div_d`, `_dd_add`, and a product that adds its error terms as
-    e + (a + b)) are written out in place, operation for operation, since
-    this loop runs once per term of every scalar call.  Splits of a
-    loop-invariant factor are made once.
+    The Dekker steps of the primitives that the lane kernel
+    `_series_lanes` calls (`_dd_mul`, `_dd_div_d`, `_dd_add`) are written
+    out in place, in the same association, since this loop runs once per
+    term of every scalar call.  Splits of a loop-invariant factor are made
+    once.
     """
     h = 0.5 * z
     t = _SPLIT * h
@@ -283,187 +304,154 @@ def _miller_j(m: int, z: float) -> float:
     return _miller_pass(m, m, z, _miller_start(m, z))[0]
 
 
-# Vector kernels.  The double-double primitives above are elementwise on
+# Lane kernels.  `bessel_j_many` runs flat lanes of (|m|, z), and each lane
+# replays the scalar kernel of its regime, so it has the bits of
+# `bessel_j(m, z)`.  The double-double primitives above are elementwise on
 # numpy arrays too (numpy rounds once per operation, which is all Dekker
-# arithmetic needs).  The vector product alone keeps its own form: it adds
-# its error terms as (e + a) + b, where the scalar series adds e + (a + b),
-# and merging the two would change `bessel_j_many` bits.  Its multiplier is
-# loop-invariant in the series, so the Dekker split of its high part is
-# made once per call (`_split`) instead of once per term.
-
-def _split(a):
-    t = _SPLIT * a
-    hi = t - (t - a)
-    return hi, a - hi
+# arithmetic needs).
 
 
-def _v_dd_mul(xh, xl, yh, yl, yh_split):
-    """(xh, xl) * (yh, yl) with `yh_split = _split(yh)`; `_two_prod` inlined."""
-    p = xh * yh
-    ah, al = _split(xh)
-    bh, bl = yh_split
-    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    e = e + xh * yl + xl * yh
-    return _two_sum(p, e)
+def _series_lanes(m: np.ndarray, z: np.ndarray, max_terms: int) -> np.ndarray:
+    """`_series_j` on each lane of (m, z), z > 0.
 
-
-def _series_j_vec(orders: np.ndarray, z: np.ndarray, max_terms: int) -> np.ndarray:
-    """Power series for each row of z (F, N) at its order in orders (F,).
-
-    A row stops at the test a one-row call would stop at (past its own
-    largest half-argument, every lane converged) and is retired from the
-    working arrays, so each row keeps the bits of its one-row evaluation.
-    Zero lanes converge at once, so callers pad short rows with 0.
+    A lane whose leading term underflows gives 0.0, and every other lane
+    the sums of the term at which its own stopping test holds.  Stopped
+    lanes are carried along until they make up half of the working arrays,
+    which are then compacted.
     """
-    h = 0.5 * z
-    # leading terms (z/2)^m / m!: one product chain, each row read off at its m
-    rows_at: dict[int, list[int]] = {}
-    for row, m in enumerate(orders.tolist()):
-        rows_at.setdefault(m, []).append(row)
-    th = np.ones_like(z)
-    tl = np.zeros_like(z)
-    sh, sl = th.copy(), tl.copy()
-    h_split = _split(h)
-    for i in range(1, max(rows_at) + 1):
-        th, tl = _v_dd_mul(th, tl, h, 0.0, h_split)
-        th, tl = _dd_div_d(th, tl, float(i))
-        if i in rows_at:
-            rows = rows_at[i]
-            sh[rows] = th[rows]
-            sl[rows] = tl[rows]
-    th, tl = sh, sl  # from here on every array is rebound, never written in place
+    out = np.zeros_like(z)
+    if not z.size:
+        return out
+    # leading terms (z/2)^m / m!: with the lanes in descending order of m,
+    # those still in the chain at factor i are a prefix
+    lane = np.argsort(-m, kind="stable")
+    m, h = m[lane], 0.5 * z[lane]
+    th, tl = np.ones_like(h), np.zeros_like(h)
+    hh, hl = _split(h)
+    in_chain = np.searchsorted(-m, -np.arange(int(m[0]) + 1), side="right").tolist()
+    for i in range(1, int(m[0]) + 1):
+        n = in_chain[i]
+        ph, pl = _dd_mul(th[:n], tl[:n], h[:n], 0.0, (hh[:n], hl[:n]))
+        th[:n], tl[:n] = _dd_div_d(ph, pl, float(i))
+    # once th is 0.0 the chain keeps it there, so an underflow shows at its end
+    live = th != 0.0
+    lane, m, h, th, tl = (a[live] for a in (lane, m, h, th, tl))
+    if not lane.size:
+        return out
+    sh, sl = th, tl
     qh, ql = _two_prod(h, h)
     qh, ql = -qh, -ql
-    q_split = _split(qh)
-    # one shared order stays a float scalar, which is cheaper per term
-    mf = float(orders[0]) if len(rows_at) == 1 else orders[:, None].astype(float)
-    h_max = h.max(axis=1)
-    h_top = float(h_max.max())
-    h_min = float(h_max.min())
-    live = np.arange(len(orders))
-    out = np.empty_like(z)
+    # one order for all lanes stays a float, which is cheaper per term; a
+    # lane that has stopped gets sh = NaN, so its test never holds again
+    mf = float(m[0]) if m[0] == m[-1] else m.astype(float)
+    arrays = [lane, mf, h, qh, ql, *_split(qh), th, tl, sh, sl]
+    left, h_top = len(lane), float(h.max())
     for l in range(1, max_terms + 1):
-        th, tl = _v_dd_mul(th, tl, qh, ql, q_split)
+        lane, mf, h, qh, ql, qhh, qhl, th, tl, sh, sl = arrays
+        th, tl = _dd_mul(th, tl, qh, ql, (qhh, qhl))
         th, tl = _dd_div_d(th, tl, l * (l + mf))
         sh, sl = _dd_add(sh, sl, th, tl)
-        if l <= h_min:
+        arrays[-4:] = th, tl, sh, sl
+        # <= so subnormal-scale sums (threshold underflows to 0) converge
+        stop = np.abs(th) <= 1e-40 * (np.abs(sh) + 1e-300)
+        if l <= h_top:
+            stop &= l > h
+        if not stop.any():
             continue
-        # <= so the z = 0 lane (where the threshold underflows to 0) converges
-        ok = np.abs(th) <= 1e-40 * (np.abs(sh) + 1e-300)
-        if l > h_top and ok.all():
-            out[live] = sh + sl
+        out[lane[stop]] = sh[stop] + sl[stop]
+        sh[stop] = np.nan
+        left -= np.count_nonzero(stop)
+        if not left:
             return out
-        if len(live) == 1:
-            continue  # the test above was this row's own
-        done = ok.all(axis=1) & (l > h_max)
-        if not done.any():
-            continue
-        out[live[done]] = sh[done] + sl[done]
-        keep = ~done
-        th, tl, sh, sl, qh, ql, h_max, live = (
-            a[keep] for a in (th, tl, sh, sl, qh, ql, h_max, live)
-        )
-        q_split = tuple(a[keep] for a in q_split)
-        if not isinstance(mf, float):
-            mf = mf[keep]
-        h_top = float(h_max.max())
-        h_min = float(h_max.min())
+        if 2 * left <= len(sh):
+            keep = ~np.isnan(sh)
+            arrays = [a if isinstance(a, float) else a[keep] for a in arrays]
     raise InternalConsistencyError(
-        f"vector power series for orders {sorted(rows_at)} "
-        f"did not converge within {max_terms} terms"
+        f"power series did not converge within {max_terms} terms on {left} lanes"
     )
 
 
-def _miller_j_vec(orders: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Backward recurrence for each row of z (F, N) at its order in orders (F,).
+def _miller_lanes(m: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """`_miller_j` on each lane of (m, z), z > 0.
 
-    Each row starts from its own seed order, taken from its largest
-    argument; until then its recurrence values are held at zero, which
-    leaves it exactly where a one-row call begins.  Callers pad short rows
-    with the row's largest argument.
+    Each lane starts from its own seed order `_miller_start(m, z)` and is
+    held at zero until then.  With the lanes in descending order of seed,
+    the lanes already started at order k are a prefix, so the held lanes
+    cost nothing.
     """
-    z_max = z.max(axis=1).tolist()
-    seeds: dict[int, list[int]] = {}
-    captures: dict[int, list[int]] = {}
-    for row, (m, zm) in enumerate(zip(orders.tolist(), z_max)):
-        seeds.setdefault(_miller_start(m, zm), []).append(row)
-        captures.setdefault(m, []).append(row)
-    fkp1 = np.zeros_like(z)
-    fk = np.zeros_like(z)
-    jm = np.zeros_like(z)
-    norm = np.zeros_like(z)
-    comp = np.zeros_like(z)
+    out = np.empty_like(z)
+    if not z.size:
+        return out
+    start = np.maximum(m, z.astype(np.int64)) + 40 + (2.0 * np.sqrt(z)).astype(np.int64)
+    start += start % 2
+    lane = np.argsort(-start, kind="stable")
+    m, z, start = m[lane], z[lane], start[lane]
+    top = int(start[0])
+    started = np.searchsorted(-start, -np.arange(top + 1), side="right").tolist()
+    captures = {order: np.flatnonzero(m == order) for order in np.unique(m).tolist()}
     two_over_z = 2.0 / z
-    for k in range(max(seeds), 0, -1):
-        if k in seeds:
-            fk[seeds[k]] = 1e-30
-        fkm1 = k * two_over_z * fk - fkp1
-        fkp1 = fk
-        fk = fkm1
+    f = [np.zeros_like(z), np.zeros_like(z)]  # fk and fkp1, swapped each step
+    jm, norm, comp = (np.zeros_like(z) for _ in range(3))
+    n = 0
+    for k in range(top, 0, -1):
+        if started[k] > n:
+            f[0][n : started[k]] = 1e-30
+            n = started[k]
+            # views of the started lanes, made again only when more start
+            fk, fkp1 = f[0][:n], f[1][:n]
+            t_z, t_norm, t_comp = two_over_z[:n], norm[:n], comp[:n]
+        # fk_new = k * (2/z) * fk - fkp1, written over fkp1, which then becomes fk
+        new = k * t_z
+        new *= fk
+        np.subtract(new, fkp1, out=fkp1)
+        fk, fkp1 = fkp1, fk
+        f.reverse()
         order = k - 1
-        if order in captures:
-            rows = captures[order]
-            jm[rows] = fk[rows]
+        rows = captures.get(order)
+        if rows is not None:
+            jm[rows] = f[0][rows]
         if order % 2 == 0:
             # TwoSum's error is the exact rounding error that the scalar
             # kernel's |norm| >= |t| branch computes; only the sign of a
             # zero error can differ, and comp reaches the result only
             # through norm + comp with norm != 0
-            norm, err = _two_sum(norm, fk if order == 0 else 2.0 * fk)
-            comp = comp + err
-        big = np.abs(fk) > _RESCALE_LIMIT
-        if big.any():
-            scale = np.where(big, _RESCALE, 1.0)
-            fk = fk * scale
-            fkp1 = fkp1 * scale
-            jm = jm * scale
-            norm = norm * scale
-            comp = comp * scale
-    norm = norm + comp
+            t_norm[:], err = _two_sum(t_norm, fk if order == 0 else 2.0 * fk)
+            t_comp += err
+        mag = np.abs(fk)
+        if mag.max() > _RESCALE_LIMIT:
+            scale = np.where(mag > _RESCALE_LIMIT, _RESCALE, 1.0)
+            for a in (fk, fkp1, jm[:n], t_norm, t_comp):
+                a *= scale
+    norm += comp
     if (norm == 0.0).any() or not np.isfinite(norm).all():
         raise InternalConsistencyError(
-            f"vector backward recurrence failed for orders {sorted(captures)}"
+            f"backward recurrence normalization failed for orders {sorted(captures)}"
         )
-    return jm / norm
-
-
-def _by_rows(
-    kernel, orders: np.ndarray, z: np.ndarray, lanes: np.ndarray, pad: np.ndarray, out: np.ndarray
-) -> None:
-    """Run a row kernel on the selected lanes of each row of z, packed left.
-
-    Rows without a selected lane are left out; shorter rows are filled up
-    with their entry of `pad`.  Results land in the same lanes of `out`.
-    """
-    counts = lanes.sum(axis=1)
-    hit = counts > 0
-    if not hit.any():
-        return
-    packed_lanes = np.arange(int(counts.max())) < counts[hit, None]
-    packed = np.repeat(pad[hit, None], packed_lanes.shape[1], axis=1)
-    packed[packed_lanes] = z[lanes]
-    out[lanes] = kernel(orders[hit], packed)[packed_lanes]
+    out[lane] = jm / norm
+    return out
 
 
 def bessel_j_many(m, z, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Elementwise J_m over arrays of arguments; same contract as `bessel_j`.
+    """Elementwise J_m over arrays of arguments; every value has exactly the
+    bits of `bessel_j`, which refuses the same inputs.
 
     Two forms:
 
     * `m` an int: J_m over every entry of `z` (any shape), shape preserved;
     * `m` a 1-D integer sequence of F orders and `z` of shape (F, N): row i
-      holds J_{m[i]}(z[i]).  Row i has exactly the bits of
-      `bessel_j_many(int(m[i]), z[i])`, which is the one-row case.
+      holds J_{m[i]}(z[i]).
 
-    Lanes split at `cfg.series_switch_point` as in `bessel_j`; each regime
-    runs once for all rows, the series retiring rows as they converge and
-    the backward recurrence seeding each row at its own start order.  So
-    batches of quadrature size are much cheaper than a scalar loop, and
-    many short rows much cheaper than one call per row.
+    Each order is broadcast to the lanes of its row, and each regime runs
+    once for all lanes, so one call serves a whole stack of radial
+    profiles.  A call pays for a loop over series terms and recurrence
+    orders whatever its size, so a few values are cheaper from `bessel_j`.
     """
-    zs = np.asarray(z, dtype=float)
+    zs = np.asarray(z)
+    if zs.dtype.kind not in "iuf":
+        raise InvalidArgumentError(f"arguments must be real numbers, got {zs.dtype} values")
+    zs = zs.astype(float)
     if isinstance(m, int):
-        orders = np.array([m], dtype=np.int64)
+        orders = np.array([m], dtype=object)
         rows = zs.reshape(1, -1)
     else:
         orders = np.asarray(m)
@@ -476,31 +464,30 @@ def bessel_j_many(m, z, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
                 f"{orders.size} orders need arguments of shape ({orders.size}, N), "
                 f"got {zs.shape}"
             )
-        orders = orders.astype(np.int64)
         rows = zs
     if not np.all(np.isfinite(zs)):
         raise InvalidArgumentError("arguments must be finite")
-    mags = np.abs(orders)
-    if (mags.size and mags.max() > MAX_ORDER) or (
+    # as Python ints, so no order wraps around before it is checked
+    if (orders.size and max(-int(orders.min()), int(orders.max())) > MAX_ORDER) or (
         zs.size and (zs.min() < 0.0 or zs.max() > MAX_ARGUMENT)
     ):
         raise UnsupportedRangeError(
             f"requested values outside |m| <= {MAX_ORDER}, 0 <= z <= {MAX_ARGUMENT}"
         )
-    out = np.empty_like(rows)
-    small = rows <= cfg.series_switch_point
-
-    def series(o, zz):
-        return _series_j_vec(o, zz, cfg.max_terms)
-
-    _by_rows(series, mags, rows, small, np.zeros(len(rows)), out)
-    if rows.size:
-        _by_rows(_miller_j_vec, mags, rows, ~small, rows.max(axis=1), out)
-    # J_{-m} = (-1)^m J_m
-    sign = np.where((orders < 0) & (mags % 2 == 1), -1.0, 1.0)
-    if isinstance(m, int):
-        return float(sign[0]) * out.reshape(zs.shape)
-    return sign[:, None] * out
+    orders = orders.astype(np.int64)
+    mags = np.repeat(np.abs(orders), rows.shape[1])
+    lanes = rows.ravel()
+    out = np.empty_like(lanes)
+    zero = lanes == 0.0
+    small = ~zero & (lanes <= cfg.series_switch_point)
+    big = lanes > cfg.series_switch_point
+    out[zero] = mags[zero] == 0
+    out[small] = _series_lanes(mags[small], lanes[small], cfg.max_terms)
+    out[big] = _miller_lanes(mags[big], lanes[big])
+    # J_{-m} = (-1)^m J_m away from z = 0, where `bessel_j` gives 1.0 or 0.0
+    flip = np.repeat((orders < 0) & (orders % 2 == 1), rows.shape[1]) & ~zero
+    out[flip] = -out[flip]
+    return out.reshape(zs.shape)
 
 
 def _validate(m: int, z: float) -> None:

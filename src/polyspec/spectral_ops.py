@@ -15,11 +15,12 @@ analogue a^2 J_m(lambda_{m+1,j})^2 / 2 for Neumann-positive factors, and
 a^{2p+2} / (2p + 2) for monomials.
 
 Expansions evaluate each variable's distinct factors once: one row-wise
-`bessel_j_many` call gives every oscillatory radial profile on the
-quadrature nodes (the Dirichlet pair +-m shares one row), and each
-distinct profile's closed-form norm is computed once.  `synthesize`
-evaluates each distinct factor once per point.  Every result keeps the
-bits of the mode-by-mode formulas (`mode_norm_sq`, `eval_coefficient`).
+`bessel_j_many` call per expansion gives every variable's oscillatory
+radial profiles on its quadrature nodes (the Dirichlet pair +-m shares one
+row), and each distinct profile's closed-form norm is computed once.
+`synthesize` evaluates each distinct factor once per point.  Every result
+keeps the bits of the mode-by-mode formulas (`mode_norm_sq`,
+`eval_coefficient`).
 
 Holomorphic families cannot be materialized in full (the exponent is a
 free parameter), so expansions instantiate them up to an explicit cap
@@ -198,33 +199,37 @@ def _materialize_holomorphic(modes: list[EigenMode], p_max: int) -> list[EigenMo
     return out
 
 
-def _factor_grids(factors: list[ModeFactor], r: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """The factors' values on the polar grid, stacked as (factor, r, theta).
+def _factor_grids(factors: list[list[ModeFactor]], nodes: list[np.ndarray], theta: np.ndarray):
+    """Yield each variable's factors on its polar grid, stacked as
+    (factor, r, theta).
 
-    All oscillatory profiles come from one row-wise `bessel_j_many` call
-    with one row per distinct (order, lambda), so the Dirichlet pair +-m
-    shares J_{|m|}; monomials give r^p, and each distinct angular order
-    gives one phase row.
+    One row-wise `bessel_j_many` call gives every oscillatory profile, one
+    row per distinct (variable, order, lambda): the nodes scale with each
+    radius, and the Dirichlet pair +-m shares J_{|m|}.  Monomials give r^p,
+    and each distinct angular order gives one phase row.
     """
-    bessel_rows: dict[tuple[int, float], int] = {}
-    for f in factors:
-        if f.kind is not FactorKind.HOLOMORPHIC:
-            bessel_rows.setdefault((_profile_order(f), f.lambda_k), len(bessel_rows))
-    if bessel_rows:
-        s = np.array([math.sqrt(lam) for _, lam in bessel_rows])
-        profiles = bessel_j_many([o for o, _ in bessel_rows], s[:, None] * r[None, :])
+    profiles = dict.fromkeys(
+        (k, _profile_order(f), f.lambda_k)
+        for k, fs in enumerate(factors)
+        for f in fs
+        if f.kind is not FactorKind.HOLOMORPHIC
+    )
+    if profiles:
+        z = np.stack([math.sqrt(lam) * nodes[k] for k, _, lam in profiles])
+        profiles = dict(zip(profiles, bessel_j_many([o for _, o, _ in profiles], z)))
     phases: dict[int, np.ndarray] = {}
-    radial = []
-    for f in factors:
-        m = f.angular_order
-        if f.kind is FactorKind.HOLOMORPHIC:
-            radial.append(r**m if m else np.ones_like(r))
-        else:
-            radial.append(profiles[bessel_rows[(_profile_order(f), f.lambda_k)]])
-        if m not in phases:
-            phases[m] = np.exp(1j * m * theta)
-    phase = np.stack([phases[f.angular_order] for f in factors])
-    return np.stack(radial)[:, :, None] * phase[:, None, :]
+    for k, (fs, r) in enumerate(zip(factors, nodes)):
+        radial = []
+        for f in fs:
+            m = f.angular_order
+            if f.kind is FactorKind.HOLOMORPHIC:
+                radial.append(r**m if m else np.ones_like(r))
+            else:
+                radial.append(profiles[(k, _profile_order(f), f.lambda_k)])
+            if m not in phases:
+                phases[m] = np.exp(1j * m * theta)
+        phase = np.stack([phases[f.angular_order] for f in fs])
+        yield np.stack(radial)[:, :, None] * phase[:, None, :]
 
 
 def expand_from_samples(
@@ -277,11 +282,11 @@ def expand_from_samples(
         per_var_index.append(seen)
         per_var_factors.append(list(seen))
     G = np.asarray(F, dtype=complex)
-    for k in range(P.n):
-        r, wr = radial_quadrature(P.radii[k], quad_nodes)
-        theta, wt = angular_quadrature(angular_nodes)
-        weight = np.multiply.outer(wr * r, wt)
-        stack = np.conj(_factor_grids(per_var_factors[k], r, theta)) * weight
+    radial = [radial_quadrature(a, quad_nodes) for a in P.radii]
+    theta, wt = angular_quadrature(angular_nodes)
+    grids = _factor_grids(per_var_factors, [r for r, _ in radial], theta)
+    for (r, wr), grid in zip(radial, grids):
+        stack = np.conj(grid) * np.multiply.outer(wr * r, wt)
         with np.errstate(invalid="ignore"):  # inf samples: refused below
             G = np.tensordot(G, stack, axes=([0, 1], [1, 2]))
     # a NaN or inf sample reaches every contracted entry: checking them is exact

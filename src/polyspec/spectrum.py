@@ -38,12 +38,13 @@ takes J as the (i >> b)-th q-subset of S, ascending, where b counts its
 slots with nu >= 1, and the sign of each such slot from one of the low b
 bits of i, the last slot's lowest.  So a class's modes come in (J, factor
 key) order; a block of several classes (equal radii) is put in that order
-by one lexsort.  Every label (variable, slot, sign) is made by `row_factors`
-when witnesses first need labels, and checked once: Dirichlet slots must
-hold Dirichlet factors and the holomorphic and Neumann-positive slots must
-not, which makes each mode's J/kind check.  The modes are made in C-level
-batches of a bounded number of candidates, with no Python frame per mode.
-Every mode list is in `mode_sort_key` order.
+by one lexsort.  Every label (variable, slot, sign) that the table's modes
+can read is made by `row_factors` when witnesses first need labels, and
+checked once: Dirichlet slots must hold Dirichlet factors and the
+holomorphic and Neumann-positive slots must not, which makes each mode's
+J/kind check.  The modes are made in C-level batches of a bounded number
+of candidates, with no Python frame per mode.  Every mode list is in
+`mode_sort_key` order.
 """
 
 from __future__ import annotations
@@ -230,7 +231,7 @@ class _Labels(NamedTuple):
     offset: np.ndarray
     size: np.ndarray  # rows of each variable's zero table
     rank: np.ndarray  # place in factor-key order among the labels
-    factor: np.ndarray  # object: the ModeFactor; None where a slot has one label
+    factor: np.ndarray  # object: the ModeFactor; None past a slot's labels
 
 
 class _ClassTable:
@@ -260,6 +261,7 @@ class _ClassTable:
         n = P.n
         self.radii = P.radii
         self.q = q
+        self.only_J = only_J
         self.Js: list[tuple[int, ...]] = []  # each set's J's in turn, ascending
         self.value = np.empty(0)
         self.rows = np.empty((n, 0), dtype=np.int64)  # 1 + table row; 0 holomorphic
@@ -456,20 +458,25 @@ class _ClassTable:
 
     @functools.cached_property
     def _labels(self) -> _Labels:
-        """Every label of the table, each checked once: a Dirichlet slot's
-        must be Dirichlet, the holomorphic and Neumann-positive ones' not."""
+        """The labels the table's modes read, each checked once: a Dirichlet
+        slot's must be Dirichlet, the holomorphic and Neumann-positive ones'
+        not.  Under `only_J` the discs in J read only their Dirichlet slots
+        and the others only the rest; the slots no mode reads hold None."""
         size = np.array([len(lam) for lam in self.lam])
         offset = np.cumsum(4 * size + 2) - (4 * size + 2)
         factor = []
         for k, a, nus, js, lams in zip(itertools.count(1), self.radii, self.nu, self.j, self.lam):
-            rows = list(zip(nus.tolist(), js.tolist(), lams.tolist()))
-            slots = [(False, (holomorphic_factor(0, a),))]
-            for kind in (_DIRICHLET, FactorKind.NEUMANN_POSITIVE):
-                slots += [(kind is _DIRICHLET, row_factors(kind, nu, j, a, lam)) for nu, j, lam in rows]
+            rows = [(nu, j, a, lam) for nu, j, lam in zip(nus.tolist(), js.tolist(), lams.tolist())]
+            dirichlet = self.only_J is None or k in self.only_J
+            others = self.only_J is None or k not in self.only_J
+            slots = [(False, (holomorphic_factor(0, a),) if others else ())]
+            for kind, made in ((_DIRICHLET, dirichlet), (FactorKind.NEUMANN_POSITIVE, others)):
+                got = [row_factors(kind, *row) if made else () for row in rows]
+                slots += [(kind is _DIRICHLET, fs) for fs in got]
             for in_J, got in slots:
                 for f in got:
                     _check_kind(k, in_J, f)
-                factor += (*got, None)[:2]
+                factor += (*got, None, None)[:2]
         made = [i for i, f in enumerate(factor) if f is not None]
         rank = np.zeros(len(factor), dtype=np.int64)
         rank[sorted(made, key=lambda i: _factor_key(factor[i]))] = np.arange(len(made))

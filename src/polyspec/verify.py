@@ -235,10 +235,7 @@ def quad_inner_product(
     x, w = _gauss_legendre(nodes)
     r = 0.5 * (x + 1.0)
     wr = 0.5 * w
-    lj = cache.zero(m, j)
-    lk = cache.zero(m, k)
-    fj = bessel_j_many(m, lj * r)
-    fk = fj if k == j else bessel_j_many(m, lk * r)
+    fj, fk = bessel_j_many(m, np.outer([cache.zero(m, j), cache.zero(m, k)], r))
     return float(np.sum(wr * r * fj * fk))
 
 
@@ -261,10 +258,8 @@ def radial_basis_gram(
     x, w = _gauss_legendre(nodes)
     r = 0.5 * (x + 1.0)
     wr = 0.5 * w * r
-    basis = [r**m]
-    for j in range(1, size):
-        lam = cache.zero(m + 1, j)
-        basis.append(bessel_j_many(m, lam * r))
+    lams = [cache.zero(m + 1, j) for j in range(1, size)]
+    basis = [r**m, *bessel_j_many(m, np.outer(lams, r))]
     gram = np.empty((size, size))
     for i in range(size):
         for j2 in range(i, size):

@@ -169,6 +169,66 @@ def test_row_form_validation():
         bessel_j_many([1, 2], np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 501.0]]))
 
 
+@pytest.mark.parametrize(
+    "m,z",
+    [
+        (np.array([2**63], dtype=np.uint64), np.ones((1, 3))),  # wraps to -2**63 in int64
+        (np.array([-(2**63)]), np.ones((1, 3))),  # np.abs wraps to itself
+        (np.array([2**64 - 1], dtype=np.uint64), np.ones((1, 3))),  # wraps to -1
+        (2**70, np.array([1.0])),  # no int64 holds it
+    ],
+    ids=["uint64-2**63", "int64-min", "uint64-max", "int-2**70"],
+)
+def test_many_refuses_orders_outside_the_window(m, z):
+    with pytest.raises(UnsupportedRangeError):
+        bessel_j_many(m, z)
+
+
+@pytest.mark.parametrize(
+    "z", [np.array([1 + 1j]), np.array(["1.0"])], ids=["complex", "string"]
+)
+def test_many_refuses_arguments_that_are_not_real_numbers(z):
+    with pytest.raises(InvalidArgumentError):
+        bessel_j_many(0, z)
+
+
+def _contract_sample():
+    """(m, z) pairs over both regimes and the edges of the lane kernels."""
+    rng = np.random.default_rng(67)
+    m = rng.integers(-200, 201, 1500)
+    z = np.concatenate([rng.uniform(0.0, 18.0, 750), rng.uniform(18.0, 500.0, 750)])
+    switch = [18.0, np.nextafter(18.0, 0.0), np.nextafter(18.0, 19.0)]
+    edges = [(k, x) for k in (0, 1, -1, 7, -7, 200, -200) for x in (0.0, *switch, 500.0)]
+    edges += [(k, x) for k in range(150, 201) for x in (1e-300, 1e-8)]  # leading term underflows
+    edges += [(-k, 1e-8) for k in range(150, 201)]
+    m = np.concatenate([m, [k for k, _ in edges]])
+    z = np.concatenate([z, [x for _, x in edges]])
+    return m, z
+
+
+def test_many_has_the_bits_of_bessel_j_on_every_lane():
+    m, z = _contract_sample()
+    ref = _bits([bessel_j(int(k), float(x)) for k, x in zip(m, z)])
+    # the row form, one lane per case
+    assert np.array_equal(_bits(bessel_j_many(m, z[:, None])[:, 0]), ref)
+    # the row form with every argument in each row, and the int form over
+    # the arguments and over a 2-D array of them
+    orders = [-200, -7, 0, 1, 150]
+    want = np.array([_bits([bessel_j(k, float(x)) for x in z]) for k in orders])
+    assert np.array_equal(_bits(bessel_j_many(orders, np.tile(z, (len(orders), 1)))), want)
+    square = z[:1600].reshape(40, 40)
+    for k, row in zip(orders, want):
+        assert np.array_equal(_bits(bessel_j_many(k, z)), row)
+        assert np.array_equal(_bits(bessel_j_many(k, square)), row[:1600].reshape(40, 40))
+    # No recurrence in the window grows past the rescale limit; below a
+    # lower switch point, these do once.
+    cfg = EvalConfig(series_switch_point=1.0)
+    m = np.array([200, -181, 150, 120, 200, 0, -3])
+    z = np.array([1.5, 3.0, 2.0, 1.2, 10.0, 1.5, 1.0])
+    want = _bits([bessel_j(int(k), float(x), cfg) for k, x in zip(m, z)])
+    assert np.array_equal(_bits(bessel_j_many(m, z[:, None], cfg)[:, 0]), want)
+
+
 def test_recurrence_residual_contract():
     # m J_m(z) = (z/2)(J_{m+1}(z) + J_{m-1}(z)) on 100 random points
     rng = np.random.default_rng(7)

@@ -26,8 +26,9 @@ from polyspec import (
     sample_on_grid,
     synthesize,
 )
+from polyspec import spectral_ops
 from polyspec.gridfile import read_grid, write_grid
-from polyspec.disc_modes import FactorKind
+from polyspec.disc_modes import FactorKind, radial_profile
 from polyspec.spectral_ops import (
     Expansion,
     angular_quadrature,
@@ -340,6 +341,29 @@ def test_factor_stack_rows_match_per_factor_calls(mixed_expansion):
         for f, si, row in zip(osc, s, rows):
             ref = bessel_j_many(_profile_order(f), si * r)
             assert np.array_equal(row.view(np.int64), ref.view(np.int64))
+
+
+def test_expansion_profiles_come_from_one_call(cache, mixed_expansion, monkeypatch):
+    F, x = mixed_expansion
+    calls = []
+
+    def spy(m, z):
+        calls.append((m, z, bessel_j_many(m, z)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(spectral_ops, "bessel_j_many", spy)
+    assert expand_from_samples(F, P_MIXED, 1, (1,), 30.0, cache, 64, 32, p_max=3) == x
+    assert len(calls) == 1
+    orders, z, rows = calls[0]
+    profile = {(o, zi.tobytes()): row for o, zi, row in zip(orders, z, rows)}
+    for k, a in enumerate(P_MIXED.radii):
+        r, _ = radial_quadrature(a, 64)
+        for f in dict.fromkeys(m.factors[k] for m, _ in x.terms):
+            if f.kind is FactorKind.HOLOMORPHIC:
+                continue
+            row = profile[(_profile_order(f), (math.sqrt(f.lambda_k) * r).tobytes())]
+            want = np.array([radial_profile(f, float(node)) for node in r])
+            assert np.array_equal(row.view(np.int64), want.view(np.int64)), f
 
 
 def test_expand_matches_per_factor_loop(cache, mixed_expansion):

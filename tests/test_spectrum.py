@@ -1,6 +1,7 @@
 """Spectrum enumeration, grouping, bottom formula, counting."""
 
 import bisect
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -258,6 +259,25 @@ def test_only_J_table_holds_the_modes_on_J(cache, radii, q, lam):
     modes = enumerate_modes(P, q, lam, cache)
     for J in itertools.combinations(range(1, P.n + 1), q):
         assert _ClassTable(P, q, lam, cache, J).modes() == [m for m in modes if m.J == J]
+
+
+def test_only_J_table_makes_only_the_labels_it_reads(cache, monkeypatch):
+    P = Polydisc((1.0, 1.3))
+    on_J = [m for m in enumerate_modes(P, 1, 20.0, cache) if m.J == (1,)]
+    made = collections.Counter()
+
+    def count(kind, nu, j, a, lam):
+        made[kind, a] += 1
+        return row_factors(kind, nu, j, a, lam)
+
+    monkeypatch.setattr(spectrum, "row_factors", count)
+    table = _ClassTable(P, 1, 20.0, cache, (1,))
+    assert table.modes() == on_J
+    # disc 1 is in J and reads its Dirichlet rows, disc 2 its Neumann-positive rows
+    assert made == {
+        (FactorKind.DIRICHLET, 1.0): len(table.lam[0]),
+        (FactorKind.NEUMANN_POSITIVE, 1.3): len(table.lam[1]),
+    }
 
 
 _STRUCTURE_CASES = [

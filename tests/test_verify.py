@@ -13,6 +13,7 @@ from polyspec import (
     Polydisc,
     UnsupportedRangeError,
     bessel_j,
+    bessel_j_many,
     brute_force_spectrum,
     enumerate_modes,
     fd_convergence_report,
@@ -23,6 +24,7 @@ from polyspec import (
     selfcheck,
     sufficient_bounds,
 )
+from polyspec import verify
 from polyspec.verify import MAX_ANGULAR_ORDER, MAX_GRID_POINTS
 
 LAM01_SQ = 5.783185962946785
@@ -121,6 +123,27 @@ def test_radial_basis_gram_block_orthogonal(cache):
         # nonsingular with comfortable margin once normalized
         normalized = g / np.outer(d, d)
         assert np.min(np.linalg.eigvalsh(normalized)) > 0.99
+
+
+def test_quadrature_rows_come_from_one_call(cache, monkeypatch):
+    calls = []
+
+    def spy(m, z):
+        calls.append(bessel_j_many(m, z))
+        return calls[-1]
+
+    monkeypatch.setattr(verify, "bessel_j_many", spy)
+    assert abs(quad_inner_product(2, 1, 3, cache)) < 1e-10
+    assert len(calls) == 1
+    calls.clear()
+    # zeros up to lambda_{4,11} > 18, so both regimes of the kernel
+    radial_basis_gram(3, 12, cache)
+    assert len(calls) == 1
+    x, _ = np.polynomial.legendre.leggauss(384)
+    r = 0.5 * (x + 1.0)
+    for j, row in enumerate(calls[0], start=1):
+        want = [bessel_j(3, cache.zero(4, j) * float(node)) for node in r]
+        assert np.array_equal(row.view(np.int64), np.array(want).view(np.int64)), j
 
 
 def _as_pairs(modes):
