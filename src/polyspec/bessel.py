@@ -30,6 +30,7 @@ provided as independent ground truth for the test suite.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -490,16 +491,18 @@ def bessel_j_many(m, z, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
     return out.reshape(zs.shape)
 
 
-def _validate(m: int, z: float) -> None:
+def _validate(m: int, z: float) -> float:
+    """z as a Python float (a float32 would run the kernels in float32)."""
     if not isinstance(m, int):
         raise InvalidArgumentError(f"order must be an integer, got {m!r}")
-    if not math.isfinite(z):
-        raise InvalidArgumentError(f"argument must be finite, got {z!r}")
+    if not isinstance(z, numbers.Real) or not math.isfinite(z := float(z)):
+        raise InvalidArgumentError(f"argument must be a finite real number, got {z!r}")
     if abs(m) > MAX_ORDER or z < 0.0 or z > MAX_ARGUMENT:
         raise UnsupportedRangeError(
             f"(m, z) = ({m}, {z}) outside supported window "
             f"|m| <= {MAX_ORDER}, 0 <= z <= {MAX_ARGUMENT}"
         )
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +517,9 @@ def bessel_j(m: int, z: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
 
     Raises:
         UnsupportedRangeError: (m, z) outside |m| <= 200, 0 <= z <= 500.
-        InvalidArgumentError: non-finite z or non-integer m.
+        InvalidArgumentError: z not a finite real number, or m not an int.
     """
-    _validate(m, z)
+    z = _validate(m, z)
     sign = 1.0
     if m < 0:
         m = -m
@@ -568,7 +571,7 @@ def _bessel_j_with_derivatives(m: int, z: float) -> tuple[float, float, float]:
     Each value has the bits of `bessel_j`, `bessel_j_prime` and
     `bessel_j_second`, which raise the same range errors in the same order.
     """
-    _validate(m, z)
+    z = _validate(m, z)
     _check_neighbours(m, 1, "derivative")
     _check_neighbours(m, 2, "second derivative")
     jm2, jm1, j, jp1, jp2 = (bessel_j(m + d, z) for d in range(-2, 3))
@@ -582,7 +585,7 @@ def _bessel_j_and_prime(m: int, z: float) -> tuple[float, float]:
     seed order (as they do once int(z) > m), one pass yields all three;
     otherwise the values come from those two calls.
     """
-    _validate(m, z)
+    z = _validate(m, z)
     _check_neighbours(m, 1, "derivative")
     if (
         m >= 1

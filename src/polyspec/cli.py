@@ -37,7 +37,7 @@ from .spectrum import EigenMode, Polydisc, SpectralPoint, assemble_spectrum, bot
 from .verify import BoundaryCondition, FdConfig, fd_radial_eigs
 from .zeros import ZeroCache
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
@@ -121,7 +121,6 @@ def _spectrum_record(P: Polydisc, q: int, args, points: list[SpectralPoint]) -> 
             "radii": list(P.radii),
             "q": q,
             "max_lambda": args.max,
-            "group_tol": args.group_tol,
             "witnesses": args.witnesses,
         },
         "points": [_point_record(p) for p in points],
@@ -167,9 +166,7 @@ def _cmd_spectrum(args, out) -> int:
         raise InvalidArgumentError(f"--witnesses must be >= 0, got {args.witnesses}")
     # only json prints witnesses; csv and table need none built
     cap = args.witnesses if args.format == "json" else 0
-    points = assemble_spectrum(
-        P, args.q, args.max, group_tol=args.group_tol, cache=ZeroCache(), witness_cap=cap
-    )
+    points = assemble_spectrum(P, args.q, args.max, cache=ZeroCache(), witness_cap=cap)
     if args.format == "json":
         out.write(_json(_spectrum_record(P, args.q, args, points)) + "\n")
     elif args.format == "csv":
@@ -336,12 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radii", required=True, help="comma-separated polydisc radii, n >= 2")
     p.add_argument("--q", type=int, required=True, help="form degree, 1 <= q <= n-1")
     p.add_argument("--max", type=float, required=True, help="eigenvalue cutoff")
-    p.add_argument(
-        "--group-tol",
-        type=float,
-        default=1e-11,
-        help="relative grouping tolerance (default: %(default)g)",
-    )
     p.add_argument(
         "--witnesses",
         type=int,

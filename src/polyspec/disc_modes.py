@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,9 +201,9 @@ def radial_profile(f: ModeFactor, r: float) -> float:
     """Radial part of the factor at radius r in [0, a].
 
     Dirichlet -> J_{|m|}(sqrt(lambda) r); Neumann-positive -> J_m(sqrt(lambda) r)
-    (signed order); holomorphic -> r^p.
+    (signed order); holomorphic -> r^p.  r is taken as a double.
     """
-    if not (0.0 <= r <= f.radius):
+    if not isinstance(r, numbers.Real) or not (0.0 <= (r := float(r)) <= f.radius):
         raise InvalidArgumentError(f"r = {r} outside [0, {f.radius}]")
     if f.kind is FactorKind.HOLOMORPHIC:
         return r ** f.angular_order if f.angular_order else 1.0

@@ -25,9 +25,9 @@ their zero tables, the other variables holomorphic; it stands for the
 rows' +-m labels (2 per row with nu >= 1) on each of the C(|S|, q) J's in
 S.  One walk over the discs in variable order forms each set's pruned sums
 once, from those of the set it grew out of, then divides by 4, so every
-value has the bits of the mode-by-mode sum.  Classes are sorted by value
-and grouped; a class is infinite iff |S| < n, and point counts come from
-the class weights.
+value has the bits of the mode-by-mode sum.  Classes sorted by value form
+points by exact key, the zeros they sum; a class is infinite iff |S| < n,
+and point counts come from the class weights.
 
 `EigenMode` objects are made only where modes are asked for: a point's
 witnesses, `enumerate_modes` and `spectral_ops.expand_from_samples`.  A
@@ -54,6 +54,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -85,8 +86,6 @@ FAMILY_MIXED = "mixed"
 # Pruning slack: never lets rounding in prefix sums drop a borderline mode;
 # candidates inside the slack are explored and rejected by the exact test.
 _PRUNE_SLACK = 1e-9
-
-_GROUP_TOL = 1e-11  # relative; see assemble_spectrum
 
 # families of a point from its family bits: 1 mixed, 2 pure-holomorphic,
 # 4 pure-neumann (sorted names, as the bits ascend)
@@ -277,7 +276,10 @@ class _ClassTable:
         # most room any S leaves it.  The walk below cuts it where an S leaves
         # less, and the final exact test filters.
         caps = [budget - sum(sorted(dmin[:k] + dmin[k + 1 :])[: q - 1]) + slack for k in range(n)]
-        self.lam, self.nu, self.j = zip(*map(zero_table, P.radii, caps, [cache] * n))
+        # discs with equal radii have equal caps and share one table, so a row
+        # index names the same zero on each of them (`points` keys on that)
+        tables = {a: zero_table(a, cap, cache) for a, cap in dict(zip(P.radii, caps)).items()}
+        self.lam, self.nu, self.j = zip(*map(tables.__getitem__, P.radii))
         # reserve[k][r]: the least ground-state sum of r discs after disc k + 1
         reserve = [
             [sum(sorted(dmin[k + 1 :])[:r]) if r < n - k else math.inf for r in range(q + 1)]
@@ -333,18 +335,23 @@ class _ClassTable:
     def __len__(self) -> int:
         return len(self.value)
 
-    def points(self, group_tol: float) -> tuple[np.ndarray, ...]:
+    def points(self) -> tuple[np.ndarray, ...]:
         """Group the classes into points: start index, finite multiplicity,
         infinite flag and family bits (1 mixed, 2 pure-holomorphic,
         4 pure-neumann) per point.
 
-        Adjacent values chain into one point while
-        cur - prev <= group_tol * max(cur, prev).  A class is infinite iff
-        |S| < n, pure-neumann at |S| = n and pure-holomorphic at |S| = q.
+        A point is a run of classes with one key, `rows` sorted within each
+        group of equal radii, which names the zeros a value sums.  With
+        distinct radii each class is its own point, even where two values
+        round to the same double; with equal radii one key may sum its
+        zeros in several orders, whose values differ in the last bits.  A
+        class is infinite iff |S| < n, pure-neumann at |S| = n and
+        pure-holomorphic at |S| = q.
         """
-        v = self.value
-        joined = v[1:] - v[:-1] <= group_tol * np.maximum(v[1:], v[:-1])
-        starts = np.flatnonzero(np.concatenate(([True], ~joined)))
+        _, tie = np.unique(self.radii, return_inverse=True)
+        key = np.concatenate([np.sort(self.rows[tie == t], axis=0) for t in range(tie.max() + 1)])
+        split = (key[:, 1:] != key[:, :-1]).any(axis=0)
+        starts = np.flatnonzero(np.concatenate(([True], split)))
         size = np.count_nonzero(self.rows, axis=0)
         infinite = size < len(self.radii)
         finite = np.add.reduceat(np.where(infinite, 0, self.weight), starts)
@@ -499,18 +506,15 @@ def assemble_spectrum(
     P: Polydisc,
     q: int,
     lambda_max: float,
-    group_tol: float = _GROUP_TOL,
+    *,
     cache: ZeroCache | None = None,
     witness_cap: int = 8,
 ) -> list[SpectralPoint]:
     """Group the modes into spectral points, ascending by value.
 
-    Grouping is relative (|v1 - v2| <= group_tol * max(v1, v2)) and chains
-    through adjacent values, so exact coincidences (equal radii) merge
-    robustly.  So do distinct eigenvalues closer than group_tol: they share
-    one point, whose value is the smallest of them and whose witnesses need
-    not show them all.  Each point carries its first witness_cap >= 0 modes
-    in `mode_sort_key` order.
+    A point is one exact class key (`_ClassTable.points`), with no
+    tolerance; its value is the least of its modes' values.  Each point
+    carries its first witness_cap >= 0 modes in `mode_sort_key` order.
 
     Witnesses are found by index arithmetic on the sorted classes, which
     skips the classes of a point past its cap, and made in batches.  The
@@ -518,16 +522,14 @@ def assemble_spectrum(
     is made, instead of once per mode; the public constructor still checks
     each mode it is given.
     """
-    if not (group_tol > 0.0):
-        raise InvalidArgumentError("group_tol must be positive")
-    if witness_cap < 0:
-        raise InvalidArgumentError(f"witness_cap must be >= 0, got {witness_cap}")
+    if not isinstance(witness_cap, numbers.Integral) or witness_cap < 0:
+        raise InvalidArgumentError(f"witness_cap must be an integer >= 0, got {witness_cap!r}")
     if cache is None:
         cache = ZeroCache()
     table = _ClassTable(P, q, lambda_max, cache)
     if not len(table):
         return []
-    starts, finite, infinite, family_bits = table.points(group_tol)
+    starts, finite, infinite, family_bits = table.points()
     witnesses, ends = table.expand(starts, witness_cap)
     return _batch(
         SpectralPoint,
@@ -564,11 +566,11 @@ def counting(
 
     Raw counting with multiplicity is infinite as soon as lambda_max reaches
     the bottom (infinite families), so the summary is the pair
-    (sum of finite multiplicities, values flagged infinite), grouped as
-    `assemble_spectrum` groups them by default.
+    (sum of finite multiplicities, values flagged infinite), one value per
+    point of `assemble_spectrum`.
     """
     table = _ClassTable(P, q, lambda_max, cache)
     if not len(table):
         return 0, []
-    starts, finite, infinite, _ = table.points(_GROUP_TOL)
+    starts, finite, infinite, _ = table.points()
     return int(finite.sum()), table.value[starts[infinite]].tolist()

@@ -36,6 +36,7 @@ All zeros live in a `ZeroCache`: a monotone, thread-safe table keyed by
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 
 from .bessel import MAX_ARGUMENT, _bessel_j_and_prime, bessel_j
@@ -142,6 +143,8 @@ class ZeroCache:
         got = self._table.get((m, j))
         if got is not None:
             return got
+        if not isinstance(m, numbers.Integral) or not isinstance(j, numbers.Integral):
+            raise InvalidArgumentError(f"zero order and index must be integers, got ({m!r}, {j!r})")
         # The inductive chain for (m, j) tops out at J_0 zero index m + j,
         # whose bracket ends at (m + j) * pi; reject if that exceeds the
         # evaluation window.

@@ -301,6 +301,23 @@ def test_window_rejection():
         bessel_j(1.5, 1.0)  # type: ignore[arg-type]
 
 
+@pytest.mark.parametrize("z", [1 + 1j, "1.0", None], ids=["complex", "string", "none"])
+def test_scalar_refuses_arguments_that_are_not_real_numbers(z):
+    for f in (bessel_j, bessel_j_prime, bessel_j_second):
+        with pytest.raises(InvalidArgumentError):
+            f(0 if f is bessel_j else 3, z)
+
+
+@pytest.mark.parametrize("m,z", [(3, 7.5), (0, 0.3), (5, 30.0), (-2, 250.0)])
+def test_float32_argument_runs_in_double_precision(m, z):
+    # under NEP 50 a float32 would pull the whole kernel down to float32
+    z32 = np.float32(z)
+    got = bessel_j(m, z32)
+    assert type(got) is float
+    assert got.hex() == bessel_j(m, float(z32)).hex()
+    assert bessel_j_prime(m, z32).hex() == bessel_j_prime(m, float(z32)).hex()
+
+
 def test_eval_config_validation():
     with pytest.raises(InvalidArgumentError):
         EvalConfig(max_terms=0)

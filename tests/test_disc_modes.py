@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from polyspec import (
@@ -110,6 +111,12 @@ def test_radial_profiles(cache):
         radial_profile(d, 1.5)
     with pytest.raises(InvalidArgumentError):
         radial_profile(d, -0.1)
+    with pytest.raises(InvalidArgumentError):
+        radial_profile(d, 0.5 + 0j)
+    # a float32 radius is widened before the product sqrt(lambda) r
+    for f in (d, n, h2):
+        got = radial_profile(f, np.float32(0.3))
+        assert type(got) is float and got.hex() == radial_profile(f, float(np.float32(0.3))).hex()
 
 
 def test_holomorphic_exponent_validation():

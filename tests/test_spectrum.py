@@ -22,6 +22,7 @@ from polyspec import (
     enumerate_modes,
     mode_descriptor,
     spectrum,
+    verify,
 )
 from polyspec.disc_modes import (
     dirichlet_factors,
@@ -105,15 +106,62 @@ def test_assemble_first_points(cache):
     assert pts[0].witnesses[0].J == (2,)
 
 
-def test_grouping_monotone_under_tol(cache):
-    P = Polydisc((1.0, 1.0))
-    coarse = assemble_spectrum(P, 1, 12.0, group_tol=1e-9, cache=cache)
-    fine = assemble_spectrum(P, 1, 12.0, group_tol=1e-10, cache=cache)
-    assert len(fine) >= len(coarse)
-    # every fine group lies inside one coarse group
-    coarse_edges = [p.value for p in coarse]
-    for p in fine:
-        assert any(abs(p.value - v) <= 1e-8 * max(1.0, v) or p.value >= v for v in coarse_edges)
+# mpmath besseljzero at 40 digits: (lambda_{15,4}^2 + (lambda_{11,13} / 1.5)^2) / 4
+# and (lambda_{8,6}^2 + (lambda_{42,3} / 1.5)^2) / 4, 9.3e-12 apart relative
+CLOSE_PAIR = ("603.40994598590671788", "603.40994599150818114")
+
+
+def test_distinct_keys_closer_than_1e_11_stay_two_points(cache):
+    points = assemble_spectrum(Polydisc((1.0, 1.5)), 1, 603.41, cache=cache, witness_cap=0)
+    assert len(points) == 99974
+    assert [(p.value, p.finite_multiplicity, p.infinite) for p in points[-2:]] == [
+        (603.4099459859068, 8, False),
+        (603.4099459915083, 8, False),
+    ]
+    for p, exact in zip(points[-2:], CLOSE_PAIR):
+        assert abs(Fraction(p.value) / Fraction(exact) - 1) < Fraction(1, 10**15)
+
+
+def _brute_force_points(P, q, lam, cache):
+    """The brute-force modes grouped by their own exact key, the sorted
+    (radius, zero order, j) of the factors, with zero order |m| for
+    Dirichlet and |m + 1| for Neumann-positive factors: per key its least
+    value, finite mode count and infinite flag, ascending."""
+    groups = collections.defaultdict(list)
+    for value, (_, factors) in verify.brute_force_spectrum(
+        P, q, lam, *verify.sufficient_bounds(P, lam, cache), cache
+    ):
+        key = sorted(
+            (a, -1, 0) if kind == "holomorphic" else (a, abs(m + (kind == "neumann")), j)
+            for a, (kind, m, j) in zip(P.radii, factors)
+        )
+        groups[tuple(key)].append((value, any(f[0] == "holomorphic" for f in factors)))
+    return sorted(
+        (min(v for v, _ in modes), sum(not h for _, h in modes), any(h for _, h in modes))
+        for modes in groups.values()
+    )
+
+
+@pytest.mark.parametrize(
+    "radii,q,lam", [((1.0, 1.0, 1.0), 1, 20.0), ((1.0, 1.0, 2.0), 2, 16.0), ((1.0, 1.5), 1, 10.0)]
+)
+def test_points_are_the_brute_force_key_groups(cache, radii, q, lam):
+    P = Polydisc(radii)
+    points = assemble_spectrum(P, q, lam, cache=cache, witness_cap=0)
+    assert [(p.value, p.finite_multiplicity, p.infinite) for p in points] == _brute_force_points(
+        P, q, lam, cache
+    )
+
+
+@pytest.mark.parametrize("radii,q,lam", [((1.0, 1.0, 1.0), 1, 60.0), ((1.0,) * 4, 2, 24.0)])
+def test_no_key_is_split_across_points(cache, radii, q, lam):
+    # equal radii: classes of one key whose sums differ in the last bits
+    # must still sit next to each other in value order
+    table = _ClassTable(Polydisc(radii), q, lam, cache)
+    key = np.sort(table.rows, axis=0)
+    runs = 1 + np.count_nonzero((key[:, 1:] != key[:, :-1]).any(axis=0))
+    assert len(table.points()[0]) == runs == np.unique(key, axis=1).shape[1]
+    assert runs < len(table)
 
 
 def test_witness_cap(cache):
@@ -125,6 +173,21 @@ def test_witness_cap(cache):
 def test_negative_witness_cap_rejected(cache):
     with pytest.raises(InvalidArgumentError):
         assemble_spectrum(Polydisc((1.0, 1.0)), 1, 5.2, cache=cache, witness_cap=-1)
+
+
+@pytest.mark.parametrize("cap", [2.5, None, "3"])
+def test_non_integral_witness_cap_rejected(cache, cap):
+    with pytest.raises(InvalidArgumentError):
+        assemble_spectrum(Polydisc((1.0, 1.0)), 1, 5.2, cache=cache, witness_cap=cap)
+
+
+def test_numpy_integer_witness_cap_and_keyword_only_options(cache):
+    P = Polydisc((1.0, 1.0))
+    assert assemble_spectrum(P, 1, 5.2, cache=cache, witness_cap=np.int64(3)) == assemble_spectrum(
+        P, 1, 5.2, cache=cache, witness_cap=3
+    )
+    with pytest.raises(TypeError):
+        assemble_spectrum(P, 1, 5.2, cache)  # a fourth positional argument
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import threading
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 from mpmath import iv
 
@@ -197,6 +198,15 @@ def test_window_rejection(cache):
         cache.zeros_upto(0, 600.0)
     with pytest.raises(InvalidArgumentError):
         cache.zero(0, 0)
+
+
+@pytest.mark.parametrize("m,j", [(2.5, 1), (1, 1.5), (1.0, 2.0)])
+def test_non_integral_order_or_index_is_refused(m, j):
+    cache = ZeroCache()
+    for lookup in (cache.zero, cache.enclosure):
+        with pytest.raises(InvalidArgumentError):
+            lookup(m, j)
+    assert cache.zero(np.int64(2), np.int64(3)) == cache.zero(2, 3)
 
 
 def test_bracket_failure_aborts(monkeypatch):
