@@ -495,7 +495,13 @@ def _validate(m: int, z: float) -> float:
     """z as a Python float (a float32 would run the kernels in float32)."""
     if not isinstance(m, int):
         raise InvalidArgumentError(f"order must be an integer, got {m!r}")
-    if not isinstance(z, numbers.Real) or not math.isfinite(z := float(z)):
+    if not isinstance(z, numbers.Real):
+        raise InvalidArgumentError(f"argument must be a finite real number, got {z!r}")
+    try:
+        z = float(z)
+    except OverflowError:  # an int or Fraction past the double range
+        raise UnsupportedRangeError(f"argument outside 0 <= z <= {MAX_ARGUMENT}") from None
+    if not math.isfinite(z):
         raise InvalidArgumentError(f"argument must be a finite real number, got {z!r}")
     if abs(m) > MAX_ORDER or z < 0.0 or z > MAX_ARGUMENT:
         raise UnsupportedRangeError(

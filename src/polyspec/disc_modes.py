@@ -14,7 +14,8 @@ Three kinds of factor occur in the product eigenforms:
 
 Both oscillatory kinds come from one table per disc, the squared scaled
 zeros (lambda_{nu,j}/a)^2: Dirichlet labels zero order nu with m = +-nu,
-Neumann-positive with m = nu - 1 and m = -nu - 1.
+Neumann-positive with m = nu - 1 and m = -nu - 1.  `disc_table` is that
+table as the spectrum's class walk reads it.
 
 Factor identity is (kind, angular_order, radial_index): equal eigenvalues
 with different angular orders are distinct modes.
@@ -23,9 +24,12 @@ with different angular orders are distinct modes.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import numbers
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +47,8 @@ __all__ = [
     "neumann_factors",
     "zero_table",
     "row_factors",
+    "FactorTable",
+    "disc_table",
     "robin_residual",
     "radial_profile",
 ]
@@ -153,15 +159,35 @@ def row_factors(
     return tuple(ModeFactor(kind, m, j, a, lam) for m in orders)
 
 
-def _table_factors(
-    kind: FactorKind, a: float, lambda_max: float, cache: ZeroCache
-) -> list[ModeFactor]:
-    lams, nus, js = zero_table(a, lambda_max, cache)
-    return [
-        f
-        for lam, nu, j in zip(lams.tolist(), nus.tolist(), js.tolist())
-        for f in row_factors(kind, nu, j, a, lam)
-    ]
+class FactorTable(NamedTuple):
+    """One variable's factor eigenvalues, as the spectrum's class walk reads them.
+
+    Row r of the ascending `lam` (ties allowed) is the eigenvalue of factors
+    in J and off J, two of each where `paired[r]`.  `labels()` makes them,
+    one tuple per slot: the holomorphic slot, the rows in J, the rows off J.
+    """
+
+    lam: np.ndarray
+    paired: np.ndarray
+    labels: Callable[[], list[tuple[ModeFactor, ...]]]
+
+
+def disc_table(a: float, lambda_max: float, cache: ZeroCache) -> FactorTable:
+    """The disc's `zero_table` below the cutoff: rows with nu >= 1 are paired,
+    and the labels are `holomorphic_factor(0, a)` and the `row_factors`."""
+    lam, nu, j = zero_table(a, lambda_max, cache)
+
+    def labels() -> list[tuple[ModeFactor, ...]]:
+        rows = list(zip(nu.tolist(), j.tolist(), itertools.repeat(a), lam.tolist()))
+        kinds = (FactorKind.DIRICHLET, FactorKind.NEUMANN_POSITIVE)
+        return [(holomorphic_factor(0, a),)] + [row_factors(k, *row) for k in kinds for row in rows]
+
+    return FactorTable(lam, nu >= 1, labels)
+
+
+def _profile_order(f: ModeFactor) -> int:
+    """Order of an oscillatory factor's Bessel profile: |m| for Dirichlet, m otherwise."""
+    return abs(f.angular_order) if f.kind is FactorKind.DIRICHLET else f.angular_order
 
 
 def dirichlet_factors(a: float, lambda_max: float, cache: ZeroCache) -> list[ModeFactor]:
@@ -170,7 +196,8 @@ def dirichlet_factors(a: float, lambda_max: float, cache: ZeroCache) -> list[Mod
     Zero order nu labels m = nu and m = -nu: +m and -m are distinct factors
     for m != 0 (their eigenvalues coincide, the modes do not).
     """
-    return _table_factors(FactorKind.DIRICHLET, a, lambda_max, cache)
+    t = disc_table(a, lambda_max, cache)
+    return [f for fs in t.labels()[1 : 1 + len(t.lam)] for f in fs]
 
 
 def neumann_factors(a: float, lambda_max: float, cache: ZeroCache) -> list[ModeFactor]:
@@ -180,7 +207,8 @@ def neumann_factors(a: float, lambda_max: float, cache: ZeroCache) -> list[ModeF
     nu = 0 that is m = -1 alone, for nu >= 1 both m = nu - 1 and m = -nu - 1.
     Holomorphic (lambda = 0) factors are not included here.
     """
-    return _table_factors(FactorKind.NEUMANN_POSITIVE, a, lambda_max, cache)
+    t = disc_table(a, lambda_max, cache)
+    return [f for fs in t.labels()[1 + len(t.lam) :] for f in fs]
 
 
 def robin_residual(f: ModeFactor) -> float:
@@ -207,7 +235,4 @@ def radial_profile(f: ModeFactor, r: float) -> float:
         raise InvalidArgumentError(f"r = {r} outside [0, {f.radius}]")
     if f.kind is FactorKind.HOLOMORPHIC:
         return r ** f.angular_order if f.angular_order else 1.0
-    s = math.sqrt(f.lambda_k)
-    if f.kind is FactorKind.DIRICHLET:
-        return bessel_j(abs(f.angular_order), s * r)
-    return bessel_j(f.angular_order, s * r)
+    return bessel_j(_profile_order(f), math.sqrt(f.lambda_k) * r)

@@ -25,7 +25,7 @@ import numbers
 from dataclasses import dataclass
 
 from .bessel import _bessel_j_with_derivatives, bessel_j, bessel_j_prime
-from .disc_modes import FactorKind, ModeFactor, radial_profile
+from .disc_modes import FactorKind, ModeFactor, _profile_order, radial_profile
 from .errors import InvalidArgumentError
 from .spectrum import EigenMode
 
@@ -113,8 +113,7 @@ def _factor_value_and_laplacian(f: ModeFactor, r: float, theta: float) -> tuple[
     if f.kind is FactorKind.HOLOMORPHIC:
         return _factor_value(f, r, theta), 0.0  # monomials z^p are harmonic, exactly
     s = math.sqrt(f.lambda_k)
-    order = abs(m) if f.kind is FactorKind.DIRICHLET else m
-    val, dj, ddj = _bessel_j_with_derivatives(order, s * r)
+    val, dj, ddj = _bessel_j_with_derivatives(_profile_order(f), s * r)
     phase = cmath.exp(1j * m * theta)
     d1 = s * dj
     d2 = s * s * ddj
@@ -184,7 +183,7 @@ def factor_dbar_boundary(f: ModeFactor, theta: float) -> complex:
         gp = m * a ** (m - 1) if m else 0.0
     else:
         s = math.sqrt(f.lambda_k)
-        order = abs(m) if f.kind is FactorKind.DIRICHLET else m
+        order = _profile_order(f)
         g = bessel_j(order, s * a)
         gp = s * bessel_j_prime(order, s * a)
     return 0.5 * (gp - (m / a) * g) * cmath.exp(1j * (m + 1) * theta)

@@ -33,16 +33,17 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bessel import bessel_j, bessel_j_many
-from .disc_modes import FactorKind, ModeFactor, holomorphic_factor
+from .disc_modes import FactorKind, ModeFactor, _profile_order, holomorphic_factor
 from .eigenforms import FormPoint, _coefficient, _factor_value
 from .errors import InvalidArgumentError, InvariantViolationError
-from .spectrum import EigenMode, Polydisc, _ClassTable
+from .spectrum import EigenMode, Polydisc, enumerate_modes
 from .zeros import ZeroCache
 
 __all__ = [
@@ -156,11 +157,6 @@ def _factor_norm_sq(f: ModeFactor) -> float:
     return 2.0 * math.pi * radial
 
 
-def _profile_order(f: ModeFactor) -> int:
-    """Order of the factor's radial profile: |m| for Dirichlet, else m."""
-    return abs(f.angular_order) if f.kind is FactorKind.DIRICHLET else f.angular_order
-
-
 def _factor_norms(factors) -> dict[ModeFactor, float]:
     """`_factor_norm_sq` of each distinct factor, computed once per profile
     (the Dirichlet pair +-m has one)."""
@@ -247,6 +243,8 @@ def expand_from_samples(
 
     A NaN or infinite sample raises InvalidArgumentError.
     """
+    if not all(isinstance(k, numbers.Integral) for k in J):
+        raise InvalidArgumentError(f"J = {J!r} holds an entry that is not an integer")
     J = tuple(int(k) for k in J)
     if len(J) != q or list(J) != sorted(set(J)) or J[0] < 1 or J[-1] > P.n:
         raise InvalidArgumentError(f"J = {J} is not a strictly increasing {q}-tuple in 1..{P.n}")
@@ -258,7 +256,7 @@ def expand_from_samples(
     if F.shape != expected:
         raise InvalidArgumentError(f"sample grid has shape {F.shape}, expected {expected}")
 
-    modes = list(_ClassTable(P, q, truncation_lambda, cache, J).modes())
+    modes = [m for m in enumerate_modes(P, q, truncation_lambda, cache) if m.J == J]
     modes = _materialize_holomorphic(modes, p_max)
     if not modes:
         warnings.warn("truncation lies below the bottom of the spectrum; empty expansion")

@@ -20,31 +20,19 @@ is always of this kind.
 Enumeration works on radial classes, not modes.  A holomorphic factor
 adds exactly 0.0 to a value, and both oscillatory kinds of a disc read one
 zero table (lambda_{nu,j} / a)^2 with the same weights, so no value depends
-on J.  A class is a set S of at least q variables plus one row of each of
-their zero tables, the other variables holomorphic; it stands for the
-rows' +-m labels (2 per row with nu >= 1) on each of the C(|S|, q) J's in
-S.  One walk over the discs in variable order forms each set's pruned sums
-once, from those of the set it grew out of, then divides by 4, so every
-value has the bits of the mode-by-mode sum.  Classes sorted by value form
-points by exact key, the zeros they sum; a class is infinite iff |S| < n,
-and point counts come from the class weights.
+on J.  The class walk (`_ClassTable`) reads one `disc_modes.FactorTable`
+per variable and nothing else of the discs: a class is a set S of at least
+q variables plus one table row each, the other variables holomorphic.  One
+walk forms each set's pruned sums once, then divides by 4, so every value
+has the bits of the mode-by-mode sum.  Classes sorted by value form points
+by exact key; a class is infinite iff |S| < n, and point counts come from
+the class weights.
 
-`EigenMode` objects are made only where modes are asked for: a point's
-witnesses, `enumerate_modes` and `spectral_ops.expand_from_samples`.  A
-block is a run of classes with equal value bits.  Numpy finds from the
-class weights how many modes each block gives before its point reaches the
-cap, and the labels of those modes by index arithmetic: a class's mode i
-takes J as the (i >> b)-th q-subset of S, ascending, where b counts its
-slots with nu >= 1, and the sign of each such slot from one of the low b
-bits of i, the last slot's lowest.  So a class's modes come in (J, factor
-key) order; a block of several classes (equal radii) is put in that order
-by one lexsort.  Every label (variable, slot, sign) that the table's modes
-can read is made by `row_factors` when witnesses first need labels, and
-checked once: Dirichlet slots must hold Dirichlet factors and the
-holomorphic and Neumann-positive slots must not, which makes each mode's
-J/kind check.  The modes are made in C-level batches of a bounded number
-of candidates, with no Python frame per mode.  Every mode list is in
-`mode_sort_key` order.
+`EigenMode` objects are made only where modes are asked for, a point's
+witnesses and `enumerate_modes`: numpy finds their J and labels by index
+arithmetic on the class weights (`_ClassTable.expand`), each label is made
+and kind-checked once, and the modes are made in C-level batches with no
+Python frame per mode.  Every mode list is in `mode_sort_key` order.
 """
 
 from __future__ import annotations
@@ -60,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .disc_modes import FactorKind, ModeFactor, holomorphic_factor, row_factors, zero_table
+from .disc_modes import FactorKind, FactorTable, ModeFactor, disc_table
 from .errors import InvalidArgumentError
 from .zeros import ZeroCache
 
@@ -212,117 +200,87 @@ def mode_descriptor(mode: EigenMode) -> tuple:
     )
 
 
-def _validate_q(P: Polydisc, q: int) -> None:
-    if not isinstance(q, int) or not (1 <= q <= P.n - 1):
-        raise InvalidArgumentError(
-            f"q = {q!r} out of range: need 1 <= q <= n - 1 = {P.n - 1}"
-        )
+def _validate_q(n: int, q: int, lambda_max: float = 0.0) -> None:
+    if not isinstance(q, int) or not (1 <= q <= n - 1):
+        raise InvalidArgumentError(f"q = {q!r} out of range: need 1 <= q <= n - 1 = {n - 1}")
+    if not math.isfinite(lambda_max):
+        raise InvalidArgumentError("lambda_max must be finite")
 
 
 class _Labels(NamedTuple):
-    """A class table's factor labels, by id.  Variable k lays its zero table
-    out as slots [holomorphic, Dirichlet rows, Neumann-positive rows]: slot
-    1 + r holds the Dirichlet and slot 1 + size[k] + r the Neumann-positive
-    `row_factors` of row r.  Sign s (0 for the lower angular order) of slot
-    x has id offset[k] + 2 x + s, so id // 2 numbers the slots of all
-    variables; a slot with nu < 1 has one label, sign 0."""
+    """A class table's factor labels, by id.  Variable k lays its table out
+    as the slots of `FactorTable.labels`, [holomorphic, rows in J, rows off
+    J]: slot 1 + r holds the labels of row r in J and slot 1 + size[k] + r
+    those off J.  Sign s (0 for the lower angular order) of slot x has id
+    offset[k] + 2 x + s, so id // 2 numbers the slots of all variables; a
+    slot that is not paired has one label, sign 0."""
 
     offset: np.ndarray
-    size: np.ndarray  # rows of each variable's zero table
+    size: np.ndarray  # rows of each variable's table
     rank: np.ndarray  # place in factor-key order among the labels
     factor: np.ndarray  # object: the ModeFactor; None past a slot's labels
 
 
 class _ClassTable:
-    """Radial classes below the cutoff, sorted by value.
+    """Classes below the cutoff, sorted by value, from one table per variable.
 
     A class is a set S of at least q variables plus one row of each of their
-    discs' zero tables; the other variables are holomorphic slots.  Its modes
-    take J among the q-subsets of S, with Dirichlet factors on J and
-    Neumann-positive ones on the rest of S, and share the value bits, so it
-    stands for C(|S|, q) times 2 modes per oscillatory slot with nu >= 1.
-    Under `only_J` the table keeps the sets S that contain it, and their
-    modes on that J alone.  One walk over the discs forms each set's sums
-    once, from those of the set it grew out of.
+    tables; the other variables are holomorphic slots.  Its modes take J
+    among the q-subsets of S, with the rows' labels in J on J and those off
+    J on the rest of S, and share the value bits, so it stands for
+    C(|S|, q) times 2 modes per paired row.  A table's first row is its
+    ground value; variables that share one table object form one group of
+    the class key.
     """
 
-    def __init__(
-        self,
-        P: Polydisc,
-        q: int,
-        lambda_max: float,
-        cache: ZeroCache,
-        only_J: tuple[int, ...] | None = None,
-    ) -> None:
-        _validate_q(P, q)
-        if not math.isfinite(lambda_max):
-            raise InvalidArgumentError("lambda_max must be finite")
-        n = P.n
-        self.radii = P.radii
+    def __init__(self, tables: list[FactorTable], q: int, lambda_max: float) -> None:
+        n = len(tables)
+        _validate_q(n, q, lambda_max)
+        self.tables = tables
         self.q = q
-        self.only_J = only_J
-        self.Js: list[tuple[int, ...]] = []  # each set's J's in turn, ascending
-        self.value = np.empty(0)
-        self.rows = np.empty((n, 0), dtype=np.int64)  # 1 + table row; 0 holomorphic
-        self.paired = np.empty((n, 0), dtype=bool)  # slots with nu >= 1: two labels
-        self.weight = np.empty(0, dtype=np.int64)
-        self.J_first = np.empty(0, dtype=np.int64)  # where the set's J's start in Js
         budget = 4.0 * lambda_max
-        slack = _PRUNE_SLACK * max(1.0, budget)
-        bound = budget + slack
-        dmin = [(cache.zero(0, 1) / a) ** 2 for a in P.radii]  # each table's first lam
-        # One zero table (lam, nu, j) per disc, ascending in lam, cut where the
-        # q - 1 partners of disc k sit at their smallest ground values: the
-        # most room any S leaves it.  The walk below cuts it where an S leaves
-        # less, and the final exact test filters.
-        caps = [budget - sum(sorted(dmin[:k] + dmin[k + 1 :])[: q - 1]) + slack for k in range(n)]
-        # discs with equal radii have equal caps and share one table, so a row
-        # index names the same zero on each of them (`points` keys on that)
-        tables = {a: zero_table(a, cap, cache) for a, cap in dict(zip(P.radii, caps)).items()}
-        self.lam, self.nu, self.j = zip(*map(tables.__getitem__, P.radii))
-        # reserve[k][r]: the least ground-state sum of r discs after disc k + 1
+        bound = budget + _PRUNE_SLACK * max(1.0, budget)
+        ground = [float(t.lam[0]) if len(t.lam) else math.inf for t in tables]
+        # reserve[k][r]: the least ground-state sum of r variables after k + 1
         reserve = [
-            [sum(sorted(dmin[k + 1 :])[:r]) if r < n - k else math.inf for r in range(q + 1)]
+            [sum(sorted(ground[k + 1 :])[:r]) if r < n - k else math.inf for r in range(q + 1)]
             for k in range(n)
         ]
         # The value of a mode is ((lambda_1 + lambda_2) + ...) / 4, summed left
         # to right in variable order, and a holomorphic slot adds exactly 0.0.
-        # So one walk over the discs forms every set's sums: each disc joins
-        # every live set S, extending its sums by the disc's rows, or is a
-        # holomorphic slot of S.  A join keeps a sum if the reserve of the discs
-        # S still needs fits beside it (a prefix of the ascending rows per sum).
-        # A set carries its least sum, so a join that cannot fit is free.
+        # So one walk over the variables forms every set's sums: each variable
+        # joins every live set S, extending its sums by the table's rows, or is
+        # a holomorphic slot of S.  A join keeps a sum if the reserve of the
+        # variables S still needs fits beside it (a prefix of the ascending rows
+        # per sum).  A set carries its least sum, so a join that cannot fit is free.
         sets = [((), 0.0, np.zeros(1), np.zeros((n, 1), dtype=np.int64))]  # S, least sum, sums, rows
-        done = []
-        must = set(only_J or ())
-        for k, (lam, ground, room) in enumerate(zip(self.lam, dmin, reserve), start=1):
+        # done starts with a set of no sums, so the arrays below exist when no class fits
+        done = [((), 0.0, np.zeros(0), np.zeros((n, 0), dtype=np.int64))]
+        for k, (t, low, room) in enumerate(zip(tables, ground, reserve), start=1):
             grown = []
             for S, least, sums, rows in sets:
                 R = room[max(q - len(S) - 1, 0)]
-                if least + ground + R <= bound:
-                    t = lam[: np.count_nonzero(least + lam + R <= bound)]
-                    s = sums[:, None] + t[None, :]
+                if least + low + R <= bound:
+                    lam = t.lam[: np.count_nonzero(least + t.lam + R <= bound)]
+                    s = sums[:, None] + lam[None, :]
                     prev, row = np.nonzero(s + R <= bound)
                     joined = rows[:, prev]
                     joined[k - 1] = row + 1
-                    grown.append((S + (k,), least + ground, s[prev, row], joined))
-                if k not in must:
-                    grown.append((S, least, sums, rows))
-            # a set no later disc can join is done if it holds q discs and only_J
+                    grown.append((S + (k,), least + low, s[prev, row], joined))
+                grown.append((S, least, sums, rows))
+            # a set no later variable can join is done if it holds q variables
             live = [least + room[max(q - len(S), 1)] <= bound for S, least, *_ in grown]
-            done += [g for g, ok in zip(grown, live) if not ok and len(g[0]) >= q and must <= {*g[0]}]
+            done += [g for g, ok in zip(grown, live) if not ok and len(g[0]) >= q]
             sets = list(itertools.compress(grown, live))
-        if not done:
-            return
         S_list, _, sums, rows = zip(*done)
-        Js = [[only_J] if only_J else list(itertools.combinations(S, q)) for S in S_list]
+        Js = [list(itertools.combinations(S, q)) for S in S_list]
         n_J, size = list(map(len, Js)), list(map(len, sums))
-        self.Js = [J for set_Js in Js for J in set_Js]
+        self.Js = [J for set_Js in Js for J in set_Js]  # each set's J's in turn, ascending
         value = np.concatenate(sums) / 4.0
-        rows = np.concatenate(rows, axis=1)
-        paired = np.array([np.append(False, nu >= 1)[r] for nu, r in zip(self.nu, rows)])
+        rows = np.concatenate(rows, axis=1)  # 1 + table row; 0 holomorphic
+        paired = np.array([np.append(False, t.paired)[r] for t, r in zip(tables, rows)])
         weight = np.repeat(n_J, size) << np.count_nonzero(paired, axis=0)
-        J_first = np.repeat(np.cumsum(n_J) - n_J, size)
+        J_first = np.repeat(np.cumsum(n_J) - n_J, size)  # where the set's J's start in Js
         keep = np.flatnonzero(value <= lambda_max)
         order = keep[np.argsort(value[keep], kind="stable")]
         self.value, self.rows, self.paired = value[order], rows[:, order], paired[:, order]
@@ -341,19 +299,19 @@ class _ClassTable:
         4 pure-neumann) per point.
 
         A point is a run of classes with one key, `rows` sorted within each
-        group of equal radii, which names the zeros a value sums.  With
-        distinct radii each class is its own point, even where two values
-        round to the same double; with equal radii one key may sum its
-        zeros in several orders, whose values differ in the last bits.  A
-        class is infinite iff |S| < n, pure-neumann at |S| = n and
+        group of variables that share one table, which names the rows a
+        value sums.  Without shared tables each class is its own point,
+        even where two values round to the same double; with them one key
+        may sum its rows in several orders, whose values differ in the last
+        bits.  A class is infinite iff |S| < n, pure-neumann at |S| = n and
         pure-holomorphic at |S| = q.
         """
-        _, tie = np.unique(self.radii, return_inverse=True)
+        _, tie = np.unique([id(t) for t in self.tables], return_inverse=True)
         key = np.concatenate([np.sort(self.rows[tie == t], axis=0) for t in range(tie.max() + 1)])
         split = (key[:, 1:] != key[:, :-1]).any(axis=0)
         starts = np.flatnonzero(np.concatenate(([True], split)))
         size = np.count_nonzero(self.rows, axis=0)
-        infinite = size < len(self.radii)
+        infinite = size < len(self.tables)
         finite = np.add.reduceat(np.where(infinite, 0, self.weight), starts)
         family = np.where(size == self.q, 2, np.where(infinite, 1, 4))
         flag = np.logical_or.reduceat(infinite, starts)
@@ -465,29 +423,34 @@ class _ClassTable:
 
     @functools.cached_property
     def _labels(self) -> _Labels:
-        """The labels the table's modes read, each checked once: a Dirichlet
-        slot's must be Dirichlet, the holomorphic and Neumann-positive ones'
-        not.  Under `only_J` the discs in J read only their Dirichlet slots
-        and the others only the rest; the slots no mode reads hold None."""
-        size = np.array([len(lam) for lam in self.lam])
+        """Every label of the tables, each checked once: a slot in J must
+        hold Dirichlet factors, the holomorphic and off-J slots must not."""
+        size = np.array([len(t.lam) for t in self.tables])
         offset = np.cumsum(4 * size + 2) - (4 * size + 2)
         factor = []
-        for k, a, nus, js, lams in zip(itertools.count(1), self.radii, self.nu, self.j, self.lam):
-            rows = [(nu, j, a, lam) for nu, j, lam in zip(nus.tolist(), js.tolist(), lams.tolist())]
-            dirichlet = self.only_J is None or k in self.only_J
-            others = self.only_J is None or k not in self.only_J
-            slots = [(False, (holomorphic_factor(0, a),) if others else ())]
-            for kind, made in ((_DIRICHLET, dirichlet), (FactorKind.NEUMANN_POSITIVE, others)):
-                got = [row_factors(kind, *row) if made else () for row in rows]
-                slots += [(kind is _DIRICHLET, fs) for fs in got]
-            for in_J, got in slots:
+        for k, t, rows in zip(itertools.count(1), self.tables, size.tolist()):
+            for x, got in enumerate(t.labels()):
                 for f in got:
-                    _check_kind(k, in_J, f)
-                factor += (*got, None, None)[:2]
+                    _check_kind(k, 1 <= x <= rows, f)
+                factor += (*got, None)[:2]
         made = [i for i, f in enumerate(factor) if f is not None]
         rank = np.zeros(len(factor), dtype=np.int64)
         rank[sorted(made, key=lambda i: _factor_key(factor[i]))] = np.arange(len(made))
         return _Labels(offset, size, rank, np.array(factor, dtype=object))
+
+
+def _class_table(P: Polydisc, q: int, lambda_max: float, cache: ZeroCache) -> _ClassTable:
+    """The class table of P.  Disc k's `disc_table` is cut where the q - 1
+    other discs sit at their ground values, the most room any S leaves it;
+    the walk cuts it where an S leaves less.  Discs with equal radii have
+    equal caps and share one table, so a row names the same zero on each."""
+    _validate_q(P.n, q, lambda_max)
+    budget = 4.0 * lambda_max
+    slack = _PRUNE_SLACK * max(1.0, budget)
+    dmin = [(cache.zero(0, 1) / a) ** 2 for a in P.radii]  # each table's first lam
+    caps = [budget - sum(sorted(dmin[:k] + dmin[k + 1 :])[: q - 1]) + slack for k in range(P.n)]
+    tables = {a: disc_table(a, cap, cache) for a, cap in dict(zip(P.radii, caps)).items()}
+    return _ClassTable([tables[a] for a in P.radii], q, lambda_max)
 
 
 def enumerate_modes(
@@ -499,7 +462,7 @@ def enumerate_modes(
     the eigenvalue).  The modes are the full expansion of the radial class
     table, in `mode_sort_key` order.
     """
-    return _ClassTable(P, q, lambda_max, cache).modes()
+    return _class_table(P, q, lambda_max, cache).modes()
 
 
 def assemble_spectrum(
@@ -526,7 +489,7 @@ def assemble_spectrum(
         raise InvalidArgumentError(f"witness_cap must be an integer >= 0, got {witness_cap!r}")
     if cache is None:
         cache = ZeroCache()
-    table = _ClassTable(P, q, lambda_max, cache)
+    table = _class_table(P, q, lambda_max, cache)
     if not len(table):
         return []
     starts, finite, infinite, family_bits = table.points()
@@ -552,7 +515,7 @@ def bottom(P: Polydisc, q: int, cache: ZeroCache) -> tuple[float, tuple[int, ...
     terms go to the lower index, so J is the lexicographically first
     minimizer.  The value sums J's terms in index order.
     """
-    _validate_q(P, q)
+    _validate_q(P.n, q)
     z01 = cache.zero(0, 1)
     terms = [1.0 / a**2 for a in P.radii]
     J = sorted(sorted(range(P.n), key=terms.__getitem__)[:q])
@@ -569,7 +532,7 @@ def counting(
     (sum of finite multiplicities, values flagged infinite), one value per
     point of `assemble_spectrum`.
     """
-    table = _ClassTable(P, q, lambda_max, cache)
+    table = _class_table(P, q, lambda_max, cache)
     if not len(table):
         return 0, []
     starts, finite, infinite, _ = table.points()

@@ -132,6 +132,10 @@ class ZeroCache:
     # -- construction -------------------------------------------------------
 
     def _entry(self, m: int, j: int) -> tuple[float, tuple[float, float]]:
+        if type(m) is not int or type(j) is not int:  # before the lookup, where 2.0 finds 2
+            if not (isinstance(m, numbers.Integral) and isinstance(j, numbers.Integral)):
+                raise InvalidArgumentError(f"zero order and index must be integers: {m!r}, {j!r}")
+            m, j = int(m), int(j)
         m = abs(m)  # zeros of J_{-m} equal zeros of J_m
         if j < 1:
             raise InvalidArgumentError("zero index must be >= 1")
@@ -143,8 +147,6 @@ class ZeroCache:
         got = self._table.get((m, j))
         if got is not None:
             return got
-        if not isinstance(m, numbers.Integral) or not isinstance(j, numbers.Integral):
-            raise InvalidArgumentError(f"zero order and index must be integers, got ({m!r}, {j!r})")
         # The inductive chain for (m, j) tops out at J_0 zero index m + j,
         # whose bracket ends at (m + j) * pi; reject if that exceeds the
         # evaluation window.

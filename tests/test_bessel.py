@@ -6,6 +6,7 @@ Expected values marked "oracle" below were computed with
 
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -305,6 +306,14 @@ def test_window_rejection():
 def test_scalar_refuses_arguments_that_are_not_real_numbers(z):
     for f in (bessel_j, bessel_j_prime, bessel_j_second):
         with pytest.raises(InvalidArgumentError):
+            f(0 if f is bessel_j else 3, z)
+
+
+@pytest.mark.parametrize("z", [10**400, -(10**400), Fraction(10**400, 3)])
+def test_scalar_refuses_arguments_past_the_double_range(z):
+    # float(z) overflows: the argument lies outside the window, not in a bug
+    for f in (bessel_j, bessel_j_prime, bessel_j_second):
+        with pytest.raises(UnsupportedRangeError):
             f(0 if f is bessel_j else 3, z)
 
 

@@ -21,7 +21,7 @@ from polyspec import (
     radial_profile,
     robin_residual,
 )
-from polyspec.disc_modes import row_factors, zero_table
+from polyspec.disc_modes import disc_table, row_factors, zero_table
 
 LAM01_SQ = 5.783185962946785
 LAM11_SQ = 14.681970642123893
@@ -177,3 +177,19 @@ def test_row_factors_from_the_table_lam_equal_the_cached_factors(cache, a):
         )
     with pytest.raises(InvalidArgumentError):
         row_factors(FactorKind.HOLOMORPHIC, 0, 1, a, 0.0)
+
+
+def test_disc_table_pairs_the_rows_with_two_labels_of_each_kind(cache):
+    # the class walk's whole view of a disc: its column, pairing and labels
+    a = 1.3
+    lam, nu, j = zero_table(a, 60.0, cache)
+    table = disc_table(a, 60.0, cache)
+    assert table.lam.tobytes() == lam.tobytes()
+    assert table.paired.tolist() == [v >= 1 for v in nu.tolist()]
+    assert table.paired.any() and not table.paired.all()
+    rows = list(zip(nu.tolist(), j.tolist()))
+    in_J = [tuple(dirichlet_factor(m, k, a, cache) for m in ((-v, v) if v else (0,))) for v, k in rows]
+    off_J = [tuple(neumann_factor(m, k, a, cache) for m in ((-v - 1, v - 1) if v else (-1,))) for v, k in rows]
+    assert table.labels() == [(holomorphic_factor(0, a),)] + in_J + off_J
+    assert dirichlet_factors(a, 60.0, cache) == [f for fs in in_J for f in fs]
+    assert neumann_factors(a, 60.0, cache) == [f for fs in off_J for f in fs]

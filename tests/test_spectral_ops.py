@@ -261,6 +261,21 @@ def test_bad_node_counts_are_refused_before_sampling(cache):
             angular_quadrature(bad)
 
 
+@pytest.mark.parametrize("J", [(1.5,), ("1",), (np.float64(2.0),)], ids=["float", "str", "float64"])
+def test_J_entries_that_are_not_integers_are_refused(cache, J):
+    # int() would have run these as J = (1,) and (2,)
+    F = np.ones((64, 32, 64, 32), dtype=complex)
+    with pytest.raises(InvalidArgumentError, match="not an integer"):
+        expand_from_samples(F, P11, 1, J, 8.0, cache, p_max=4)
+
+
+def test_numpy_integer_J_entries_still_work(cache):
+    F = np.ones((64, 32, 64, 32), dtype=complex)
+    x = expand_from_samples(F, P11, 1, (np.int64(2),), 8.0, cache, p_max=4)
+    assert x == expand_from_samples(F, P11, 1, (2,), 8.0, cache, p_max=4)
+    assert x.J == (2,) and type(x.J[0]) is int and x.terms
+
+
 def test_non_finite_sample_is_refused(cache):
     F = np.ones((64, 32, 64, 32), dtype=complex)
     assert len(expand_from_samples(F, P11, 1, (1,), 8.0, cache, p_max=4).terms) == 39

@@ -19,12 +19,14 @@ from polyspec import (
     assemble_spectrum,
     bottom,
     counting,
+    disc_modes,
     enumerate_modes,
     mode_descriptor,
     spectrum,
     verify,
 )
 from polyspec.disc_modes import (
+    FactorTable,
     dirichlet_factors,
     holomorphic_factor,
     neumann_factor,
@@ -157,7 +159,7 @@ def test_points_are_the_brute_force_key_groups(cache, radii, q, lam):
 def test_no_key_is_split_across_points(cache, radii, q, lam):
     # equal radii: classes of one key whose sums differ in the last bits
     # must still sit next to each other in value order
-    table = _ClassTable(Polydisc(radii), q, lam, cache)
+    table = spectrum._class_table(Polydisc(radii), q, lam, cache)
     key = np.sort(table.rows, axis=0)
     runs = 1 + np.count_nonzero((key[:, 1:] != key[:, :-1]).any(axis=0))
     assert len(table.points()[0]) == runs == np.unique(key, axis=1).shape[1]
@@ -272,7 +274,7 @@ def test_witnesses_match_mode_by_mode_expansion(cache, radii, q, lam, cap):
     P = Polydisc(radii)
     if radii[-1] == 2.2:
         # a class with four oscillatory slots, nu >= 1, and C(4, 1) J's: 64 modes
-        assert 4 * 16 in _ClassTable(P, q, lam, cache).weight
+        assert 4 * 16 in spectrum._class_table(P, q, lam, cache).weight
     points = assemble_spectrum(P, q, lam, cache=cache, witness_cap=cap)
     assert [p.witnesses for p in points] == _reference_witnesses(P, q, lam, cache, cap)
 
@@ -304,43 +306,6 @@ def test_blocks_of_several_classes_expand_no_J_past_the_cut(cache, monkeypatch):
     assemble_spectrum(Polydisc((1.0,) * 6), 3, 14.0, cache=cache)
     candidates, modes = map(sum, zip(*seen))
     assert modes == 216 and candidates <= 3 * modes  # 4,060 candidates without the cut
-
-
-@pytest.mark.parametrize(
-    "radii,q,lam",
-    [
-        ((1.0, 1.0, 1.0), 1, 12.0),
-        ((1.0, 1.0, 1.0, 1.0), 2, 8.0),
-        ((1.0, 1.3, 2.0), 2, 14.0),
-        ((1.0, 1.3, 1.7, 2.2), 1, 10.0),
-        ((1.0, 1.0, 3.0), 1, 3.0),  # S = (1, 2) is done before disc 3 and lacks J = (3,)
-    ],
-)
-def test_only_J_table_holds_the_modes_on_J(cache, radii, q, lam):
-    # the path of spectral_ops.expand_from_samples
-    P = Polydisc(radii)
-    modes = enumerate_modes(P, q, lam, cache)
-    for J in itertools.combinations(range(1, P.n + 1), q):
-        assert _ClassTable(P, q, lam, cache, J).modes() == [m for m in modes if m.J == J]
-
-
-def test_only_J_table_makes_only_the_labels_it_reads(cache, monkeypatch):
-    P = Polydisc((1.0, 1.3))
-    on_J = [m for m in enumerate_modes(P, 1, 20.0, cache) if m.J == (1,)]
-    made = collections.Counter()
-
-    def count(kind, nu, j, a, lam):
-        made[kind, a] += 1
-        return row_factors(kind, nu, j, a, lam)
-
-    monkeypatch.setattr(spectrum, "row_factors", count)
-    table = _ClassTable(P, 1, 20.0, cache, (1,))
-    assert table.modes() == on_J
-    # disc 1 is in J and reads its Dirichlet rows, disc 2 its Neumann-positive rows
-    assert made == {
-        (FactorKind.DIRICHLET, 1.0): len(table.lam[0]),
-        (FactorKind.NEUMANN_POSITIVE, 1.3): len(table.lam[1]),
-    }
 
 
 _STRUCTURE_CASES = [
@@ -396,6 +361,57 @@ def test_essential_part_is_the_spectra_with_one_disc_removed(cache, radii, lam):
         assert {p.value for p in points if p.infinite} == removed
 
 
+def _square_table(top):
+    """The Dirichlet values j^2 + k^2 <= top of -Delta on a square of side pi,
+    one row per 1 <= j <= k, ascending, paired iff j < k (the rows (j, k)
+    and (k, j)).  Distinct rows tie, such as 50 = 1 + 49 = 25 + 25."""
+    rows = sorted(
+        (j * j + k * k, j < k)
+        for k in range(1, math.isqrt(top) + 1)
+        for j in range(1, k + 1)
+        if j * j + k * k <= top
+    )
+    lam, paired = zip(*rows)
+    return FactorTable(np.array(lam, dtype=float), np.array(paired), None)  # no witnesses
+
+
+def _square_oracle(n, q, lam):
+    """(value, finite multiplicity, infinite, family bits) per value V <= lam
+    reached on a product of n squares, by exact integer convolution: p[s][4V]
+    counts the choices of one mode (j, k) on each of s squares that sum to 4V."""
+    top = int(4 * lam)
+    r = np.zeros(top + 1, dtype=np.int64)  # r(v) = #{(j, k) >= 1 : j^2 + k^2 = v}
+    for j in range(1, math.isqrt(top) + 1):
+        for k in range(1, math.isqrt(top - j * j) + 1):
+            r[j * j + k * k] += 1
+    p = [np.eye(1, top + 1, dtype=np.int64)[0]]
+    for _ in range(n):
+        p.append(np.convolve(p[-1], r)[: top + 1])
+    out = []
+    for v in range(top + 1):
+        sizes = [s for s in range(q, n + 1) if p[s][v]]
+        if sizes:
+            bits = 2 * (q in sizes) | any(q < s < n for s in sizes) | 4 * (n in sizes)
+            out.append((v / 4, math.comb(n, q) * int(p[n][v]), min(sizes) < n, bits))
+    return out
+
+
+@pytest.mark.parametrize(
+    "n,q,lam", [(2, 1, 400.0), (3, 1, 60.0), (3, 2, 70.0), (4, 1, 22.0), (4, 2, 26.0), (4, 3, 30.0)]
+)
+def test_walk_on_squares_matches_the_exact_convolution(n, q, lam):
+    # every variable shares one table, so tied rows are distinct keys of one
+    # value: merge the points of equal value before comparing
+    table = _ClassTable([_square_table(int(4 * lam))] * n, q, lam)
+    assert len(table) >= 10**4
+    starts, finite, infinite, bits = table.points()
+    merged = {}
+    for v, f, i, b in zip(table.value[starts].tolist(), finite.tolist(), infinite.tolist(), bits):
+        f0, i0, b0 = merged.get(v, (0, False, 0))
+        merged[v] = (f0 + f, i0 or i, b0 | int(b))
+    assert [(v, *merged[v]) for v in sorted(merged)] == _square_oracle(n, q, lam)
+
+
 def _spectrum_sha256(points):
     h = hashlib.sha256()
     for p in points:
@@ -423,7 +439,7 @@ def test_wrong_kind_labels_are_refused_on_the_class_path(cache, monkeypatch):
         FactorKind.NEUMANN_POSITIVE: FactorKind.DIRICHLET,
     }
     monkeypatch.setattr(
-        spectrum, "row_factors", lambda kind, *args: row_factors(swap[kind], *args)
+        disc_modes, "row_factors", lambda kind, *args: row_factors(swap[kind], *args)
     )
     # on equal radii the blocks hold several classes
     for radii in ((1.0, 1.3), (1.0, 1.0, 1.0)):
@@ -440,7 +456,7 @@ def test_wrong_kind_labels_are_refused_on_the_class_path(cache, monkeypatch):
             kind = FactorKind.DIRICHLET
         return row_factors(kind, nu, j, a, lam)
 
-    monkeypatch.setattr(spectrum, "row_factors", fault)
+    monkeypatch.setattr(disc_modes, "row_factors", fault)
     with pytest.raises(InvalidArgumentError, match="variable 1 not in J cannot be Dirichlet"):
         assemble_spectrum(Polydisc((1.0, 1.3)), 1, 12.0, cache=cache, witness_cap=1)
 

@@ -200,13 +200,26 @@ def test_window_rejection(cache):
         cache.zero(0, 0)
 
 
-@pytest.mark.parametrize("m,j", [(2.5, 1), (1, 1.5), (1.0, 2.0)])
+@pytest.mark.parametrize("m,j", [(2.5, 1), (1, 1.5), (1.0, 2.0), (1, None), ("1", 1)])
 def test_non_integral_order_or_index_is_refused(m, j):
     cache = ZeroCache()
     for lookup in (cache.zero, cache.enclosure):
         with pytest.raises(InvalidArgumentError):
             lookup(m, j)
     assert cache.zero(np.int64(2), np.int64(3)) == cache.zero(2, 3)
+
+
+@pytest.mark.parametrize("m,j", [(2.0, 1), (1, 2.0), (1, None), ("1", 1), (None, 1)])
+def test_warm_cache_refuses_what_a_cold_cache_refuses(m, j):
+    # 2.0 hashes and compares equal to 2, so a check behind the lookup
+    # would answer these from the filled entries
+    cache = ZeroCache()
+    cache.zero(2, 2)
+    assert (2, 1) in dict(cache.known_items()) and (1, 2) in dict(cache.known_items())
+    for lookup in (cache.zero, cache.enclosure):
+        with pytest.raises(InvalidArgumentError, match="must be integers"):
+            lookup(m, j)
+    assert cache.zero(np.int64(2), np.int64(1)) == cache.zero(2, 1)
 
 
 def test_bracket_failure_aborts(monkeypatch):
