@@ -17,8 +17,9 @@ three-term recurrences, never from finite differences.
 
 `bessel_j` evaluates one value.  `bessel_j_many` evaluates arrays: one
 order over any array of arguments, or one order per row of a 2-D argument
-array.  It works on flat lanes of (|m|, z), and each lane replays the
-scalar kernel of its regime, so every value has exactly the bits of
+array.  It works on flat lanes of (|m|, z), and each lane takes the steps
+of the scalar kernel of its regime (the two series kernels call the same
+double-double primitives), so every value has exactly the bits of
 `bessel_j(m, z)`.  Each regime runs once for all lanes, which is what makes
 a whole stack of radial profiles cheap in one call; a single value is
 cheaper from `bessel_j`.
@@ -59,6 +60,8 @@ MAX_ORDER = 200
 MAX_ARGUMENT = 500.0
 
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker/Veltkamp splitting constant
+# Hard cap on series terms: a safety net, never reached in the window.
+_MAX_TERMS = 400
 _RESCALE = 1e-250
 _RESCALE_LIMIT = 1e250
 
@@ -70,16 +73,11 @@ class EvalConfig:
     Attributes:
         series_switch_point: argument threshold between the power series
             and the backward recurrence.
-        max_terms: hard cap on series terms (safety net, never reached in
-            the supported window).
     """
 
     series_switch_point: float = 18.0
-    max_terms: int = 400
 
     def __post_init__(self) -> None:
-        if self.max_terms < 1:
-            raise InvalidArgumentError("max_terms must be at least 1")
         if not (self.series_switch_point > 0.0):
             raise InvalidArgumentError("series_switch_point must be positive")
 
@@ -104,136 +102,84 @@ def _two_sum(a: float, b: float) -> tuple[float, float]:
     return s, (a - (s - bb)) + (b - bb)
 
 
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    p = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+def _neg_square(h, hh, hl):
+    """-(h * h) as a double-double, from the split (hh, hl) of h."""
+    p = h * h
+    return -p, -(((hh * hh - p) + hh * hl + hl * hh) + hl * hl)
 
 
-def _dd_mul(xh, xl, yh, yl, yh_split):
-    """(xh, xl) * (yh, yl) with `yh_split = _split(yh)`, so that a
-    loop-invariant multiplier is split once; the error terms add as
-    e + (a + b)."""
+def _dd_mul_div(xh, xl, yh, yl, yhh, yhl, d):
+    """(xh, xl) * (yh, yl) / d for an integer d < 2**26, with (yhh, yhl) =
+    `_split(yh)` made once for a loop-invariant multiplier.
+
+    The product's error terms add as e + (a + b).  The quotient has the
+    bits of a full Dekker product q1 * d for such a d, as every series term
+    in the window has: d splits as (d, 0.0), and the products with that 0.0
+    add nothing, since the sums they join are never -0.0.  Splits and
+    two-sums are written out, since this runs once per series term.
+    """
     p = xh * yh
-    ah, al = _split(xh)
-    bh, bl = yh_split
-    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    t = _SPLIT * xh
+    ah = t - (t - xh)
+    al = xh - ah
+    e = ((ah * yhh - p) + ah * yhl + al * yhh) + al * yhl
     e += xh * yl + xl * yh
-    return _two_sum(p, e)
-
-
-def _dd_div_d(xh: float, xl: float, d: float) -> tuple[float, float]:
-    """(xh, xl) / d with `_two_prod`'s bits for an integer d < 2**26, as every
-    series term in the window has: d splits as (d, 0.0), and the products
-    with that 0.0 add nothing, since the sums they join are never -0.0."""
+    xh = p + e
+    bb = xh - p
+    xl = (p - (xh - bb)) + (e - bb)
     q1 = xh / d
     p = q1 * d
-    ah, al = _split(q1)
+    t = _SPLIT * q1
+    ah = t - (t - q1)
+    al = q1 - ah
     q2 = ((xh - p) - ((ah * d - p) + al * d) + xl) / d
-    return _two_sum(q1, q2)
+    xh = q1 + q2
+    bb = xh - q1
+    return xh, (q1 - (xh - bb)) + (q2 - bb)
 
 
-def _dd_add(xh: float, xl: float, yh: float, yl: float) -> tuple[float, float]:
-    s, e = _two_sum(xh, yh)
+def _dd_add(xh, xl, yh, yl):
+    s = xh + yh
+    bb = s - xh
+    e = (xh - (s - bb)) + (yh - bb)
     e += xl + yl
-    return _two_sum(s, e)
+    xh = s + e
+    bb = xh - s
+    return xh, (s - (xh - bb)) + (e - bb)
 
 
 # ---------------------------------------------------------------------------
 # evaluation kernels (nonnegative order assumed)
 # ---------------------------------------------------------------------------
 
-def _series_j(m: int, z: float, max_terms: int) -> float:
+def _series_j(m: int, z: float) -> float:
     """Alternating power series in double-double arithmetic.
 
-    The Dekker steps of the primitives that the lane kernel
-    `_series_lanes` calls (`_dd_mul`, `_dd_div_d`, `_dd_add`) are written
-    out in place, in the same association, since this loop runs once per
-    term of every scalar call.  Splits of a loop-invariant factor are made
-    once.
+    Each term is one `_dd_mul_div` and one `_dd_add`, the steps of the lane
+    kernel `_series_lanes`.
     """
     h = 0.5 * z
-    t = _SPLIT * h
-    hh = t - (t - h)
-    hl = h - hh
-    # leading term (z/2)^m / m!, built incrementally (no factorial overflow)
+    hh, hl = _split(h)
+    # leading term (z/2)^m / m!, built incrementally (no factorial overflow);
+    # once th is 0.0 the chain keeps it there, so an underflow shows at its end
     th, tl = 1.0, 0.0
     for i in range(1, m + 1):
-        # (th, tl) *= (h, 0)
-        p = th * h
-        t = _SPLIT * th
-        ah = t - (t - th)
-        al = th - ah
-        e = ((ah * hh - p) + ah * hl + al * hh) + al * hl
-        e += th * 0.0 + tl * h
-        th = p + e
-        bb = th - p
-        tl = (p - (th - bb)) + (e - bb)
-        # (th, tl) /= i
-        d = float(i)
-        q1 = th / d
-        p = q1 * d
-        t = _SPLIT * q1
-        ah = t - (t - q1)
-        al = q1 - ah
-        t = _SPLIT * d
-        bh = t - (t - d)
-        bl = d - bh
-        e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-        q2 = ((th - p) - e + tl) / d
-        th = q1 + q2
-        bb = th - q1
-        tl = (q1 - (th - bb)) + (q2 - bb)
-        if th == 0.0:
-            return 0.0  # underflow: true value is below double range
+        th, tl = _dd_mul_div(th, tl, h, 0.0, hh, hl, float(i))
+    if th == 0.0:
+        return 0.0  # underflow: true value is below double range
     sh, sl = th, tl
     # ratio numerator -(z/2)^2
-    p = h * h
-    e = ((hh * hh - p) + hh * hl + hl * hh) + hl * hl
-    qh, ql = -p, -e
-    t = _SPLIT * qh
-    qhh = t - (t - qh)
-    qhl = qh - qhh
-    for l in range(1, max_terms + 1):
-        # (th, tl) *= (qh, ql)
-        p = th * qh
-        t = _SPLIT * th
-        ah = t - (t - th)
-        al = th - ah
-        e = ((ah * qhh - p) + ah * qhl + al * qhh) + al * qhl
-        e += th * ql + tl * qh
-        th = p + e
-        bb = th - p
-        tl = (p - (th - bb)) + (e - bb)
-        # (th, tl) /= l (l + m)
-        d = float(l * (l + m))
-        q1 = th / d
-        p = q1 * d
-        t = _SPLIT * q1
-        ah = t - (t - q1)
-        al = q1 - ah
-        t = _SPLIT * d
-        bh = t - (t - d)
-        bl = d - bh
-        e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-        q2 = ((th - p) - e + tl) / d
-        th = q1 + q2
-        bb = th - q1
-        tl = (q1 - (th - bb)) + (q2 - bb)
-        # (sh, sl) += (th, tl)
-        s = sh + th
-        bb = s - sh
-        e = (sh - (s - bb)) + (th - bb)
-        e += sl + tl
-        sh = s + e
-        bb = sh - s
-        sl = (s - (sh - bb)) + (e - bb)
+    qh, ql = _neg_square(h, hh, hl)
+    qhh, qhl = _split(qh)
+    mf = float(m)
+    for l in range(1, _MAX_TERMS + 1):
+        th, tl = _dd_mul_div(th, tl, qh, ql, qhh, qhl, l * (l + mf))
+        sh, sl = _dd_add(sh, sl, th, tl)
         # <= so subnormal-scale sums (threshold underflows to 0) converge
         if l > h and abs(th) <= 1e-40 * (abs(sh) + 1e-300):
             return sh + sl
     raise InternalConsistencyError(
-        f"power series for J_{m}({z}) did not converge within {max_terms} terms"
+        f"power series for J_{m}({z}) did not converge within {_MAX_TERMS} terms"
     )
 
 
@@ -306,13 +252,13 @@ def _miller_j(m: int, z: float) -> float:
 
 
 # Lane kernels.  `bessel_j_many` runs flat lanes of (|m|, z), and each lane
-# replays the scalar kernel of its regime, so it has the bits of
-# `bessel_j(m, z)`.  The double-double primitives above are elementwise on
-# numpy arrays too (numpy rounds once per operation, which is all Dekker
-# arithmetic needs).
+# takes the steps of the scalar kernel of its regime, so it has the bits of
+# `bessel_j(m, z)`.  The series kernels call the same double-double
+# primitives, which are elementwise on numpy arrays too (numpy rounds once
+# per operation, which is all Dekker arithmetic needs).
 
 
-def _series_lanes(m: np.ndarray, z: np.ndarray, max_terms: int) -> np.ndarray:
+def _series_lanes(m: np.ndarray, z: np.ndarray) -> np.ndarray:
     """`_series_j` on each lane of (m, z), z > 0.
 
     A lane whose leading term underflows gives 0.0, and every other lane
@@ -330,27 +276,23 @@ def _series_lanes(m: np.ndarray, z: np.ndarray, max_terms: int) -> np.ndarray:
     th, tl = np.ones_like(h), np.zeros_like(h)
     hh, hl = _split(h)
     in_chain = np.searchsorted(-m, -np.arange(int(m[0]) + 1), side="right").tolist()
-    for i in range(1, int(m[0]) + 1):
-        n = in_chain[i]
-        ph, pl = _dd_mul(th[:n], tl[:n], h[:n], 0.0, (hh[:n], hl[:n]))
-        th[:n], tl[:n] = _dd_div_d(ph, pl, float(i))
+    for i, n in enumerate(in_chain[1:], 1):
+        th[:n], tl[:n] = _dd_mul_div(th[:n], tl[:n], h[:n], 0.0, hh[:n], hl[:n], float(i))
     # once th is 0.0 the chain keeps it there, so an underflow shows at its end
     live = th != 0.0
-    lane, m, h, th, tl = (a[live] for a in (lane, m, h, th, tl))
+    lane, m, h, hh, hl, th, tl = (a[live] for a in (lane, m, h, hh, hl, th, tl))
     if not lane.size:
         return out
     sh, sl = th, tl
-    qh, ql = _two_prod(h, h)
-    qh, ql = -qh, -ql
+    qh, ql = _neg_square(h, hh, hl)
     # one order for all lanes stays a float, which is cheaper per term; a
     # lane that has stopped gets sh = NaN, so its test never holds again
     mf = float(m[0]) if m[0] == m[-1] else m.astype(float)
     arrays = [lane, mf, h, qh, ql, *_split(qh), th, tl, sh, sl]
     left, h_top = len(lane), float(h.max())
-    for l in range(1, max_terms + 1):
+    for l in range(1, _MAX_TERMS + 1):
         lane, mf, h, qh, ql, qhh, qhl, th, tl, sh, sl = arrays
-        th, tl = _dd_mul(th, tl, qh, ql, (qhh, qhl))
-        th, tl = _dd_div_d(th, tl, l * (l + mf))
+        th, tl = _dd_mul_div(th, tl, qh, ql, qhh, qhl, l * (l + mf))
         sh, sl = _dd_add(sh, sl, th, tl)
         arrays[-4:] = th, tl, sh, sl
         # <= so subnormal-scale sums (threshold underflows to 0) converge
@@ -368,7 +310,7 @@ def _series_lanes(m: np.ndarray, z: np.ndarray, max_terms: int) -> np.ndarray:
             keep = ~np.isnan(sh)
             arrays = [a if isinstance(a, float) else a[keep] for a in arrays]
     raise InternalConsistencyError(
-        f"power series did not converge within {max_terms} terms on {left} lanes"
+        f"power series did not converge within {_MAX_TERMS} terms on {left} lanes"
     )
 
 
@@ -448,9 +390,12 @@ def bessel_j_many(m, z, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
     orders whatever its size, so a few values are cheaper from `bessel_j`.
     """
     zs = np.asarray(z)
-    if zs.dtype.kind not in "iuf":
+    if zs.dtype.kind not in "iuf" and not all(isinstance(x, numbers.Real) for x in zs.flat):
         raise InvalidArgumentError(f"arguments must be real numbers, got {zs.dtype} values")
-    zs = zs.astype(float)
+    try:  # objects too: ints past int64 and Fractions, as `bessel_j` takes them
+        zs = zs.astype(float)
+    except OverflowError:  # past the double range
+        raise UnsupportedRangeError(f"arguments outside 0 <= z <= {MAX_ARGUMENT}") from None
     if isinstance(m, int):
         orders = np.array([m], dtype=object)
         rows = zs.reshape(1, -1)
@@ -483,7 +428,7 @@ def bessel_j_many(m, z, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
     small = ~zero & (lanes <= cfg.series_switch_point)
     big = lanes > cfg.series_switch_point
     out[zero] = mags[zero] == 0
-    out[small] = _series_lanes(mags[small], lanes[small], cfg.max_terms)
+    out[small] = _series_lanes(mags[small], lanes[small])
     out[big] = _miller_lanes(mags[big], lanes[big])
     # J_{-m} = (-1)^m J_m away from z = 0, where `bessel_j` gives 1.0 or 0.0
     flip = np.repeat((orders < 0) & (orders % 2 == 1), rows.shape[1]) & ~zero
@@ -534,7 +479,7 @@ def bessel_j(m: int, z: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     if z == 0.0:
         return 1.0 if m == 0 else 0.0
     if z <= cfg.series_switch_point:
-        return sign * _series_j(m, z, cfg.max_terms)
+        return sign * _series_j(m, z)
     return sign * _miller_j(m, z)
 
 

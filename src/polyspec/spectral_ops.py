@@ -35,6 +35,7 @@ import itertools
 import math
 import numbers
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,6 +244,8 @@ def expand_from_samples(
 
     A NaN or infinite sample raises InvalidArgumentError.
     """
+    if not isinstance(J, Iterable):
+        raise InvalidArgumentError(f"J = {J!r} is not a tuple of integers")
     if not all(isinstance(k, numbers.Integral) for k in J):
         raise InvalidArgumentError(f"J = {J!r} holds an entry that is not an integer")
     J = tuple(int(k) for k in J)
@@ -250,8 +253,8 @@ def expand_from_samples(
         raise InvalidArgumentError(f"J = {J} is not a strictly increasing {q}-tuple in 1..{P.n}")
     if quad_nodes < 64:
         raise InvalidArgumentError("need at least 64 radial quadrature nodes per dimension")
-    if p_max < 0:
-        raise InvalidArgumentError("p_max must be non-negative")
+    if not isinstance(p_max, numbers.Integral) or p_max < 0:
+        raise InvalidArgumentError(f"p_max must be an integer >= 0, got {p_max!r}")
     expected = (quad_nodes, angular_nodes) * P.n
     if F.shape != expected:
         raise InvalidArgumentError(f"sample grid has shape {F.shape}, expected {expected}")

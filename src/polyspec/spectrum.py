@@ -200,11 +200,15 @@ def mode_descriptor(mode: EigenMode) -> tuple:
     )
 
 
-def _validate_q(n: int, q: int, lambda_max: float = 0.0) -> None:
-    if not isinstance(q, int) or not (1 <= q <= n - 1):
+def _validate_q(n: int, q: int, lambda_max: float = 0.0) -> int:
+    """q as an int, after the checks on q and lambda_max."""
+    if not isinstance(q, numbers.Integral):
+        raise InvalidArgumentError(f"q must be an integer, got {q!r}")
+    if not (1 <= q <= n - 1):
         raise InvalidArgumentError(f"q = {q!r} out of range: need 1 <= q <= n - 1 = {n - 1}")
     if not math.isfinite(lambda_max):
         raise InvalidArgumentError("lambda_max must be finite")
+    return int(q)
 
 
 class _Labels(NamedTuple):
@@ -235,9 +239,8 @@ class _ClassTable:
 
     def __init__(self, tables: list[FactorTable], q: int, lambda_max: float) -> None:
         n = len(tables)
-        _validate_q(n, q, lambda_max)
+        self.q = q = _validate_q(n, q, lambda_max)
         self.tables = tables
-        self.q = q
         budget = 4.0 * lambda_max
         bound = budget + _PRUNE_SLACK * max(1.0, budget)
         ground = [float(t.lam[0]) if len(t.lam) else math.inf for t in tables]
@@ -444,7 +447,7 @@ def _class_table(P: Polydisc, q: int, lambda_max: float, cache: ZeroCache) -> _C
     other discs sit at their ground values, the most room any S leaves it;
     the walk cuts it where an S leaves less.  Discs with equal radii have
     equal caps and share one table, so a row names the same zero on each."""
-    _validate_q(P.n, q, lambda_max)
+    q = _validate_q(P.n, q, lambda_max)
     budget = 4.0 * lambda_max
     slack = _PRUNE_SLACK * max(1.0, budget)
     dmin = [(cache.zero(0, 1) / a) ** 2 for a in P.radii]  # each table's first lam
@@ -515,7 +518,7 @@ def bottom(P: Polydisc, q: int, cache: ZeroCache) -> tuple[float, tuple[int, ...
     terms go to the lower index, so J is the lexicographically first
     minimizer.  The value sums J's terms in index order.
     """
-    _validate_q(P.n, q)
+    q = _validate_q(P.n, q)
     z01 = cache.zero(0, 1)
     terms = [1.0 / a**2 for a in P.radii]
     J = sorted(sorted(range(P.n), key=terms.__getitem__)[:q])

@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,15 +88,20 @@ class FdConfig:
     bc: BoundaryCondition
 
     def __post_init__(self) -> None:
-        if not (64 <= self.grid_points <= MAX_GRID_POINTS):
+        if not isinstance(self.grid_points, numbers.Integral) or not (
+            64 <= self.grid_points <= MAX_GRID_POINTS
+        ):
             raise InvalidArgumentError(
                 f"need 64 to {MAX_GRID_POINTS} grid points, got {self.grid_points}"
             )
         if not (self.radius > 0.0) or not math.isfinite(self.radius):
             raise InvalidArgumentError(f"radius must be positive and finite, got {self.radius}")
-        if abs(self.angular_order) > MAX_ANGULAR_ORDER:
+        if not isinstance(self.angular_order, numbers.Integral) or (
+            abs(self.angular_order) > MAX_ANGULAR_ORDER
+        ):
             raise InvalidArgumentError(
-                f"need |angular order| <= {MAX_ANGULAR_ORDER}, got {self.angular_order}"
+                f"need an integer |angular order| <= {MAX_ANGULAR_ORDER}, "
+                f"got {self.angular_order}"
             )
 
 
@@ -108,8 +114,8 @@ def fd_radial_eigs(cfg: FdConfig, count: int) -> list[float]:
     that refuses radii outside about [3e-72, 2e78]; the window moves up with
     the number of points, and its lower end rises with |m|.
     """
-    if not (1 <= count <= 10):
-        raise InvalidArgumentError("count must lie in [1, 10]")
+    if not isinstance(count, numbers.Integral) or not (1 <= count <= 10):
+        raise InvalidArgumentError(f"count must be an integer in [1, 10], got {count!r}")
     n = cfg.grid_points
     a = cfg.radius
     m = cfg.angular_order

@@ -67,8 +67,8 @@ def j0_bracket(k: int) -> tuple[float, float]:
 
 def _j0_bracket(k: int) -> tuple[float, float, float, float]:
     """`j0_bracket` plus the values of J_0 at its ends."""
-    if k < 0:
-        raise InvalidArgumentError("bracket index must be non-negative")
+    if not isinstance(k, numbers.Integral) or k < 0:
+        raise InvalidArgumentError(f"bracket index must be an integer >= 0, got {k!r}")
     lo = (k + 0.5) * math.pi
     hi = (k + 1.0) * math.pi
     if hi > MAX_ARGUMENT:

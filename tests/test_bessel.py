@@ -13,6 +13,7 @@ import pytest
 
 from polyspec import (
     EvalConfig,
+    InternalConsistencyError,
     InvalidArgumentError,
     UnsupportedRangeError,
     bessel_j,
@@ -21,6 +22,7 @@ from polyspec import (
     bessel_j_second,
     oracle_bessel_j,
 )
+from polyspec import bessel
 from polyspec.bessel import _bessel_j_and_prime
 
 J1_AT_1 = 0.4400505857449335  # oracle, 30+ digits: 0.44005058574493351...
@@ -186,7 +188,14 @@ def test_many_refuses_orders_outside_the_window(m, z):
 
 
 @pytest.mark.parametrize(
-    "z", [np.array([1 + 1j]), np.array(["1.0"])], ids=["complex", "string"]
+    "z",
+    [
+        np.array([1 + 1j]),
+        np.array(["1.0"]),
+        np.array([10**400, 1j], dtype=object),
+        [10**400, "1.0"],
+    ],
+    ids=["complex", "string", "huge-int-and-complex", "huge-int-and-string"],
 )
 def test_many_refuses_arguments_that_are_not_real_numbers(z):
     with pytest.raises(InvalidArgumentError):
@@ -310,11 +319,17 @@ def test_scalar_refuses_arguments_that_are_not_real_numbers(z):
 
 
 @pytest.mark.parametrize("z", [10**400, -(10**400), Fraction(10**400, 3)])
-def test_scalar_refuses_arguments_past_the_double_range(z):
+def test_arguments_past_the_double_range_are_outside_the_window(z):
     # float(z) overflows: the argument lies outside the window, not in a bug
     for f in (bessel_j, bessel_j_prime, bessel_j_second):
         with pytest.raises(UnsupportedRangeError):
             f(0 if f is bessel_j else 3, z)
+    # numpy holds these in object arrays
+    for zs in (z, [z], [1.0, z], [[z]]):
+        with pytest.raises(UnsupportedRangeError):
+            bessel_j_many(0, zs)
+    with pytest.raises(UnsupportedRangeError):
+        bessel_j_many([0], [[1.0, z]])
 
 
 @pytest.mark.parametrize("m,z", [(3, 7.5), (0, 0.3), (5, 30.0), (-2, 250.0)])
@@ -328,10 +343,19 @@ def test_float32_argument_runs_in_double_precision(m, z):
 
 
 def test_eval_config_validation():
-    with pytest.raises(InvalidArgumentError):
-        EvalConfig(max_terms=0)
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(InvalidArgumentError):
+            EvalConfig(series_switch_point=bad)
     cfg = EvalConfig(series_switch_point=10.0)
     assert bessel_j(0, 12.0, cfg) == pytest.approx(float(oracle_bessel_j(0, 12, 25)), rel=1e-12)
+
+
+def test_series_that_runs_out_of_terms_is_an_internal_fault(monkeypatch):
+    monkeypatch.setattr(bessel, "_MAX_TERMS", 1)
+    with pytest.raises(InternalConsistencyError):
+        bessel_j(3, 10.0)
+    with pytest.raises(InternalConsistencyError):
+        bessel_j_many(3, [10.0])
 
 
 def test_oracle_contract():

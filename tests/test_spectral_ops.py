@@ -269,6 +269,18 @@ def test_J_entries_that_are_not_integers_are_refused(cache, J):
         expand_from_samples(F, P11, 1, J, 8.0, cache, p_max=4)
 
 
+@pytest.mark.parametrize(
+    "J,p_max", [(1, 4), (None, 4), ((1,), 1.5)], ids=["J-int", "J-none", "p_max-float"]
+)
+def test_J_or_p_max_of_the_wrong_type_is_refused(cache, J, p_max):
+    # these escaped as a bare TypeError from iterating J or from range(p_max + 1)
+    F = np.ones((64, 32, 64, 32), dtype=complex)
+    with pytest.raises(InvalidArgumentError):
+        expand_from_samples(F, P11, 1, J, 8.0, cache, p_max=p_max)
+    with pytest.raises(InvalidArgumentError):
+        expand(lambda z1, z2: np.ones(np.broadcast(z1, z2).shape), P11, 1, J, 8.0, cache, p_max=p_max)
+
+
 def test_numpy_integer_J_entries_still_work(cache):
     F = np.ones((64, 32, 64, 32), dtype=complex)
     x = expand_from_samples(F, P11, 1, (np.int64(2),), 8.0, cache, p_max=4)

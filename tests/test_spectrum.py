@@ -663,3 +663,25 @@ def test_q_validation(cache):
         Polydisc((1.0,))
     with pytest.raises(InvalidArgumentError):
         Polydisc((1.0, -2.0))
+
+
+def test_numpy_integer_q_is_an_integer(cache):
+    P = Polydisc((1.0, 1.5))
+    q = np.int64(1)
+    assert enumerate_modes(P, q, 8.0, cache) == enumerate_modes(P, 1, 8.0, cache)
+    assert assemble_spectrum(P, q, 8.0, cache=cache) == assemble_spectrum(P, 1, 8.0, cache=cache)
+    assert counting(P, q, 8.0, cache) == counting(P, 1, 8.0, cache)
+    assert bottom(P, q, cache) == bottom(P, 1, cache)
+
+
+@pytest.mark.parametrize("q", [1.0, np.float64(1.0), "1", None])
+def test_q_of_the_wrong_type_is_refused_for_its_type(cache, q):
+    P = Polydisc((1.0, 1.5))
+    for call in (
+        lambda: enumerate_modes(P, q, 8.0, cache),
+        lambda: assemble_spectrum(P, q, 8.0, cache=cache),
+        lambda: counting(P, q, 8.0, cache),
+        lambda: bottom(P, q, cache),
+    ):
+        with pytest.raises(InvalidArgumentError, match="q must be an integer"):
+            call()

@@ -69,6 +69,21 @@ def test_fd_validation():
                 fd_radial_eigs(FdConfig(64, radius, 1, bc), 1)
 
 
+def test_fd_refuses_non_integral_sizes_and_orders():
+    # 100.5 points used to build 101 points at h = a / 100.5 and return 5.7259
+    # for the lowest Dirichlet eigenvalue at m = 0, where the exact one is 5.7832
+    with pytest.raises(InvalidArgumentError, match="grid points"):
+        FdConfig(100.5, 1.0, 0, BoundaryCondition.DIRICHLET)
+    with pytest.raises(InvalidArgumentError, match="angular order"):
+        FdConfig(100, 1.0, 1.5, BoundaryCondition.DIRICHLET)
+    cfg = FdConfig(100, 1.0, 0, BoundaryCondition.DIRICHLET)
+    for count in (1.5, 2.0, "2"):
+        with pytest.raises(InvalidArgumentError, match="count"):
+            fd_radial_eigs(cfg, count)
+    numpy_cfg = FdConfig(np.int64(100), 1.0, np.int64(0), BoundaryCondition.DIRICHLET)
+    assert fd_radial_eigs(numpy_cfg, np.int64(2)) == fd_radial_eigs(cfg, 2)
+
+
 def test_fd_refuses_orders_and_radii_it_cannot_solve():
     # a 161-digit order used to overflow while the matrix was assembled
     for m in (10**160, -(10**160), MAX_ANGULAR_ORDER + 1):

@@ -36,6 +36,13 @@ def test_first_zeros_frozen(cache):
     assert LAM_0_1 < cache.zero(1, 1) < LAM_0_2
 
 
+@pytest.mark.parametrize("k", [1.5, 2.0, "1", None])
+def test_j0_bracket_refuses_an_index_that_is_not_an_integer(k):
+    # 1.5 used to fail the sign test as an internal fault
+    with pytest.raises(InvalidArgumentError, match="bracket index"):
+        j0_bracket(k)
+
+
 def test_j0_brackets():
     lo, hi = j0_bracket(0)
     assert lo == pytest.approx(math.pi / 2) and hi == pytest.approx(math.pi)
