@@ -93,16 +93,20 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def radial_quadrature(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [0, a] (plain dr weights)."""
-    if n < 1:
-        raise InvalidArgumentError(f"need at least 1 radial quadrature node, got {n}")
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise InvalidArgumentError(
+            f"radial quadrature node count must be an integer >= 1, got {n!r}"
+        )
     x, w = _gauss_legendre(n)
     return 0.5 * a * (x + 1.0), 0.5 * a * w
 
 
 def angular_quadrature(t: int) -> tuple[np.ndarray, np.ndarray]:
     """Uniform angular nodes with trapezoid (equal) weights summing to 2 pi."""
-    if t < 1:
-        raise InvalidArgumentError(f"need at least 1 angular quadrature node, got {t}")
+    if not isinstance(t, numbers.Integral) or t < 1:
+        raise InvalidArgumentError(
+            f"angular quadrature node count must be an integer >= 1, got {t!r}"
+        )
     theta = 2.0 * math.pi * np.arange(t) / t
     return theta, np.full(t, 2.0 * math.pi / t)
 

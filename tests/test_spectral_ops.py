@@ -250,7 +250,14 @@ def test_bad_node_counts_are_refused_before_sampling(cache):
         called.append(True)
         return np.ones(np.broadcast(z1, z2).shape, dtype=complex)
 
-    for nodes in ({"quad_nodes": 0}, {"quad_nodes": 63}, {"angular_nodes": 0}, {"angular_nodes": -4}):
+    for nodes in (
+        {"quad_nodes": 0},
+        {"quad_nodes": 63},
+        {"quad_nodes": 64.5},
+        {"angular_nodes": 0},
+        {"angular_nodes": -4},
+        {"angular_nodes": 32.5},
+    ):
         with pytest.raises(InvalidArgumentError, match="quadrature node"):
             expand(f, P11, 1, (1,), 8.0, cache, **nodes)
     assert not called
@@ -277,8 +284,9 @@ def test_J_or_p_max_of_the_wrong_type_is_refused(cache, J, p_max):
     F = np.ones((64, 32, 64, 32), dtype=complex)
     with pytest.raises(InvalidArgumentError):
         expand_from_samples(F, P11, 1, J, 8.0, cache, p_max=p_max)
+    f = lambda z1, z2: np.ones(np.broadcast(z1, z2).shape)
     with pytest.raises(InvalidArgumentError):
-        expand(lambda z1, z2: np.ones(np.broadcast(z1, z2).shape), P11, 1, J, 8.0, cache, p_max=p_max)
+        expand(f, P11, 1, J, 8.0, cache, p_max=p_max)
 
 
 def test_numpy_integer_J_entries_still_work(cache):
