@@ -16,9 +16,7 @@ finite differences, quadrature, brute-force enumeration).
 """
 
 from .bessel import (
-    DEFAULT_CONFIG,
     bessel_j_many,
-    EvalConfig,
     MAX_ARGUMENT,
     MAX_ORDER,
     bessel_j,
@@ -89,8 +87,6 @@ from .zeros import MAX_ZERO_INDEX, MAX_ZERO_ORDER, ZeroCache, j0_bracket
 __version__ = "0.1.0"
 
 __all__ = [
-    "EvalConfig",
-    "DEFAULT_CONFIG",
     "MAX_ORDER",
     "MAX_ARGUMENT",
     "bessel_j",

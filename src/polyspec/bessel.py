@@ -11,6 +11,10 @@ Two evaluation regimes, selected by the argument size:
 * large arguments: Miller's backward recurrence, normalized with the
   even-order sum identity  J_0(z) + 2*sum_k J_{2k}(z) = 1.
 
+The switch point is fixed at z = 18.  Above it no recurrence in the window
+grows past about 1e221, so the recurrence runs without rescaling; were one
+to overflow, its normalization would fail and the value be refused.
+
 Negative orders reduce through J_{-m}(z) = (-1)^m J_m(z), so the parity
 identity is bit-exact by construction.  Derivatives come from the
 three-term recurrences, never from finite differences.
@@ -19,7 +23,8 @@ three-term recurrences, never from finite differences.
 order over any array of arguments, or one order per row of a 2-D argument
 array.  It works on flat lanes of (|m|, z), and each lane takes the steps
 of the scalar kernel of its regime (the two series kernels call the same
-double-double primitives), so every value has exactly the bits of
+double-double primitives, and the two recurrence kernels sum their
+normalization by the same TwoSum), so every value has exactly the bits of
 `bessel_j(m, z)`.  Each regime runs once for all lanes, which is what makes
 a whole stack of radial profiles cheap in one call; a single value is
 cheaper from `bessel_j`.
@@ -43,8 +48,6 @@ if TYPE_CHECKING:
     import mpmath as mp
 
 __all__ = [
-    "EvalConfig",
-    "DEFAULT_CONFIG",
     "MAX_ORDER",
     "MAX_ARGUMENT",
     "bessel_j",
@@ -62,24 +65,18 @@ MAX_ARGUMENT = 500.0
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker/Veltkamp splitting constant
 # Hard cap on series terms: a safety net, never reached in the window.
 _MAX_TERMS = 400
-_RESCALE = 1e-250
-_RESCALE_LIMIT = 1e250
 
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Evaluation parameters for `bessel_j` and friends.
+    """The fixed evaluation parameters, as a record that profiling tools read.
 
     Attributes:
-        series_switch_point: argument threshold between the power series
-            and the backward recurrence.
+        series_switch_point: the power series serves z up to it, the
+            backward recurrence z above it.
     """
 
     series_switch_point: float = 18.0
-
-    def __post_init__(self) -> None:
-        if not (self.series_switch_point > 0.0):
-            raise InvalidArgumentError("series_switch_point must be positive")
 
 
 DEFAULT_CONFIG = EvalConfig()
@@ -199,16 +196,16 @@ def _miller_pass(lo: int, hi: int, z: float, start: int) -> list[float]:
     The recurrence and its normalization do not depend on the captured
     orders, so each value has the bits of a one-order pass from the same
     seed: `_miller_j` when `start` is that order's own seed.  Each turn of
-    the loop takes an odd and then an even order, so no step tests parity;
-    each step keeps its own rescale test, which the bits depend on.
+    the loop takes an odd and then an even order, so no step tests parity.
+    The steps are those of `_miller_lanes`, with no rescale: an overflow
+    leaves a normalization that is not finite, which is refused.
     """
     fkp1 = 0.0
     fk = 1e-30
     got = [0.0] * (hi - lo + 1)
     norm = 0.0
-    comp = 0.0  # Neumaier compensation for the normalization sum
+    comp = 0.0  # TwoSum compensation for the normalization sum
     two_over_z = 2.0 / z
-    limit = _RESCALE_LIMIT
     for k in range(start, 0, -2):
         # odd order k - 1
         fkm1 = k * two_over_z * fk - fkp1
@@ -218,9 +215,6 @@ def _miller_pass(lo: int, hi: int, z: float, start: int) -> list[float]:
         # one test per step above the captured orders, as a one-order pass had
         if order <= hi and order >= lo:
             got[order - lo] = fk
-        if abs(fk) > limit:
-            fk, fkp1, norm, comp = fk * _RESCALE, fkp1 * _RESCALE, norm * _RESCALE, comp * _RESCALE
-            got = [v * _RESCALE for v in got]
         # even order k - 2
         fkm1 = (k - 1) * two_over_z * fk - fkp1
         fkp1 = fk
@@ -230,14 +224,9 @@ def _miller_pass(lo: int, hi: int, z: float, start: int) -> list[float]:
             got[order - lo] = fk
         t = fk if order == 0 else 2.0 * fk
         s = norm + t
-        if abs(norm) >= abs(t):
-            comp += (norm - s) + t
-        else:
-            comp += (t - s) + norm
+        bb = s - norm
+        comp += (norm - (s - bb)) + (t - bb)
         norm = s
-        if abs(fk) > limit:
-            fk, fkp1, norm, comp = fk * _RESCALE, fkp1 * _RESCALE, norm * _RESCALE, comp * _RESCALE
-            got = [v * _RESCALE for v in got]
     norm += comp
     if norm == 0.0 or not math.isfinite(norm):
         raise InternalConsistencyError(
@@ -320,7 +309,8 @@ def _miller_lanes(m: np.ndarray, z: np.ndarray) -> np.ndarray:
     Each lane starts from its own seed order `_miller_start(m, z)` and is
     held at zero until then.  With the lanes in descending order of seed,
     the lanes already started at order k are a prefix, so the held lanes
-    cost nothing.
+    cost nothing.  Each lane takes the steps of `_miller_pass`, with no
+    rescale, and a lane that overflows fails the normalization check.
     """
     out = np.empty_like(z)
     if not z.size:
@@ -354,17 +344,8 @@ def _miller_lanes(m: np.ndarray, z: np.ndarray) -> np.ndarray:
         if rows is not None:
             jm[rows] = f[0][rows]
         if order % 2 == 0:
-            # TwoSum's error is the exact rounding error that the scalar
-            # kernel's |norm| >= |t| branch computes; only the sign of a
-            # zero error can differ, and comp reaches the result only
-            # through norm + comp with norm != 0
             t_norm[:], err = _two_sum(t_norm, fk if order == 0 else 2.0 * fk)
             t_comp += err
-        mag = np.abs(fk)
-        if mag.max() > _RESCALE_LIMIT:
-            scale = np.where(mag > _RESCALE_LIMIT, _RESCALE, 1.0)
-            for a in (fk, fkp1, jm[:n], t_norm, t_comp):
-                a *= scale
     norm += comp
     if (norm == 0.0).any() or not np.isfinite(norm).all():
         raise InternalConsistencyError(
@@ -374,7 +355,7 @@ def _miller_lanes(m: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def bessel_j_many(m, z, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
+def bessel_j_many(m, z) -> np.ndarray:
     """Elementwise J_m over arrays of arguments; every value has exactly the
     bits of `bessel_j`, which refuses the same inputs.
 
@@ -390,7 +371,7 @@ def bessel_j_many(m, z, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
     orders whatever its size, so a few values are cheaper from `bessel_j`.
     """
     zs = np.asarray(z)
-    if zs.dtype.kind not in "iuf" and not all(isinstance(x, numbers.Real) for x in zs.flat):
+    if zs.dtype.kind not in "biuf" and not all(isinstance(x, numbers.Real) for x in zs.flat):
         raise InvalidArgumentError(f"arguments must be real numbers, got {zs.dtype} values")
     try:  # objects too: ints past int64 and Fractions, as `bessel_j` takes them
         zs = zs.astype(float)
@@ -401,7 +382,7 @@ def bessel_j_many(m, z, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
         rows = zs.reshape(1, -1)
     else:
         orders = np.asarray(m)
-        if orders.ndim != 1 or (orders.size and orders.dtype.kind not in "iu"):
+        if orders.ndim != 1 or (orders.size and orders.dtype.kind not in "biu"):
             raise InvalidArgumentError(
                 f"order must be an integer or a 1-D integer sequence, got {m!r}"
             )
@@ -425,8 +406,9 @@ def bessel_j_many(m, z, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
     lanes = rows.ravel()
     out = np.empty_like(lanes)
     zero = lanes == 0.0
-    small = ~zero & (lanes <= cfg.series_switch_point)
-    big = lanes > cfg.series_switch_point
+    switch = DEFAULT_CONFIG.series_switch_point
+    small = ~zero & (lanes <= switch)
+    big = lanes > switch
     out[zero] = mags[zero] == 0
     out[small] = _series_lanes(mags[small], lanes[small])
     out[big] = _miller_lanes(mags[big], lanes[big])
@@ -460,7 +442,7 @@ def _validate(m: int, z: float) -> float:
 # public surface
 # ---------------------------------------------------------------------------
 
-def bessel_j(m: int, z: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def bessel_j(m: int, z: float) -> float:
     """Evaluate J_m(z) for integer m and z >= 0.
 
     Accuracy: relative error <= 1e-12 wherever |J_m(z)| is not vanishingly
@@ -478,7 +460,7 @@ def bessel_j(m: int, z: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
             sign = -1.0
     if z == 0.0:
         return 1.0 if m == 0 else 0.0
-    if z <= cfg.series_switch_point:
+    if z <= DEFAULT_CONFIG.series_switch_point:
         return sign * _series_j(m, z)
     return sign * _miller_j(m, z)
 
@@ -516,36 +498,30 @@ def bessel_j_second(m: int, z: float) -> float:
     return _second(bessel_j(m - 2, z), bessel_j(m, z), bessel_j(m + 2, z))
 
 
-def _bessel_j_with_derivatives(m: int, z: float) -> tuple[float, float, float]:
-    """(J_m(z), J'_m(z), J''_m(z)) from one `bessel_j` call per order m-2..m+2.
+def _bessel_j_and_derivatives(m: int, z: float, k: int) -> tuple[float, ...]:
+    """(J_m(z), ..., J^(k)_m(z)) for k = 1 or 2, with the bits of `bessel_j`,
+    `bessel_j_prime` and `bessel_j_second`, which raise the same range errors
+    in the same order.
 
-    Each value has the bits of `bessel_j`, `bessel_j_prime` and
-    `bessel_j_second`, which raise the same range errors in the same order.
+    In the backward-recurrence regime, when orders m-k and m+k share a seed
+    (as they do once int(z) >= m + k), one pass yields J_{m-k} .. J_{m+k};
+    otherwise each order is one `bessel_j` call.
     """
     z = _validate(m, z)
     _check_neighbours(m, 1, "derivative")
-    _check_neighbours(m, 2, "second derivative")
-    jm2, jm1, j, jp1, jp2 = (bessel_j(m + d, z) for d in range(-2, 3))
-    return j, _prime(jm1, jp1), _second(jm2, j, jp2)
-
-
-def _bessel_j_and_prime(m: int, z: float) -> tuple[float, float]:
-    """(J_m(z), J'_m(z)) with the bits of `bessel_j` and `bessel_j_prime`.
-
-    In the backward-recurrence regime, when J_{m-1}, J_m and J_{m+1} share a
-    seed order (as they do once int(z) > m), one pass yields all three;
-    otherwise the values come from those two calls.
-    """
-    z = _validate(m, z)
-    _check_neighbours(m, 1, "derivative")
+    if k == 2:
+        _check_neighbours(m, 2, "second derivative")
     if (
-        m >= 1
+        m >= k
         and z > DEFAULT_CONFIG.series_switch_point
-        and _miller_start(m - 1, z) == _miller_start(m + 1, z)
+        and _miller_start(m - k, z) == _miller_start(m + k, z)
     ):
-        jm1, j, jp1 = _miller_pass(m - 1, m + 1, z, _miller_start(m, z))
-        return j, _prime(jm1, jp1)
-    return bessel_j(m, z), bessel_j_prime(m, z)
+        js = _miller_pass(m - k, m + k, z, _miller_start(m, z))
+    else:
+        js = [bessel_j(m + d, z) for d in range(-k, k + 1)]
+    if k == 1:
+        return js[1], _prime(js[0], js[2])
+    return js[2], _prime(js[1], js[3]), _second(js[0], js[2], js[4])
 
 
 def oracle_bessel_j(m: int, z, digits: int = 50) -> mp.mpf:

@@ -24,7 +24,7 @@ import math
 import numbers
 from dataclasses import dataclass
 
-from .bessel import _bessel_j_with_derivatives, bessel_j, bessel_j_prime
+from .bessel import _bessel_j_and_derivatives, bessel_j, bessel_j_prime
 from .disc_modes import FactorKind, ModeFactor, _profile_order, radial_profile
 from .errors import InvalidArgumentError
 from .spectrum import EigenMode
@@ -107,13 +107,14 @@ def eval_coefficient(mode: EigenMode, p: FormPoint) -> complex:
 def _factor_value_and_laplacian(f: ModeFactor, r: float, theta: float) -> tuple[complex, complex]:
     """The factor's value and its per-variable Laplacian in polar form.
 
-    An oscillatory factor evaluates J once at each order m-2..m+2.
+    An oscillatory factor takes J and its first two derivatives from one
+    helper call, which evaluates each order m-2..m+2 once.
     """
     m = f.angular_order
     if f.kind is FactorKind.HOLOMORPHIC:
         return _factor_value(f, r, theta), 0.0  # monomials z^p are harmonic, exactly
     s = math.sqrt(f.lambda_k)
-    val, dj, ddj = _bessel_j_with_derivatives(_profile_order(f), s * r)
+    val, dj, ddj = _bessel_j_and_derivatives(_profile_order(f), s * r, 2)
     phase = cmath.exp(1j * m * theta)
     d1 = s * dj
     d2 = s * s * ddj

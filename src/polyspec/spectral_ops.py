@@ -233,6 +233,25 @@ def _factor_grids(factors: list[list[ModeFactor]], nodes: list[np.ndarray], thet
         yield np.stack(radial)[:, :, None] * phase[:, None, :]
 
 
+def _checked_J(P: Polydisc, q: int, J, quad_nodes: int, p_max: int) -> tuple[int, ...]:
+    """J as a tuple of ints, once J, the radial node count and p_max pass the
+    checks an expansion makes before it reads any sample."""
+    if not isinstance(J, Iterable):
+        raise InvalidArgumentError(f"J = {J!r} is not a tuple of integers")
+    if not all(isinstance(k, numbers.Integral) for k in J):
+        raise InvalidArgumentError(f"J = {J!r} holds an entry that is not an integer")
+    J = tuple(int(k) for k in J)
+    if len(J) != q or list(J) != sorted(set(J)) or J[0] < 1 or J[-1] > P.n:
+        raise InvalidArgumentError(f"J = {J} is not a strictly increasing {q}-tuple in 1..{P.n}")
+    if not isinstance(quad_nodes, numbers.Integral) or quad_nodes < 64:
+        raise InvalidArgumentError(
+            f"radial quadrature node count must be an integer >= 64, got {quad_nodes!r}"
+        )
+    if not isinstance(p_max, numbers.Integral) or p_max < 0:
+        raise InvalidArgumentError(f"p_max must be an integer >= 0, got {p_max!r}")
+    return J
+
+
 def expand_from_samples(
     F: np.ndarray,
     P: Polydisc,
@@ -248,17 +267,7 @@ def expand_from_samples(
 
     A NaN or infinite sample raises InvalidArgumentError.
     """
-    if not isinstance(J, Iterable):
-        raise InvalidArgumentError(f"J = {J!r} is not a tuple of integers")
-    if not all(isinstance(k, numbers.Integral) for k in J):
-        raise InvalidArgumentError(f"J = {J!r} holds an entry that is not an integer")
-    J = tuple(int(k) for k in J)
-    if len(J) != q or list(J) != sorted(set(J)) or J[0] < 1 or J[-1] > P.n:
-        raise InvalidArgumentError(f"J = {J} is not a strictly increasing {q}-tuple in 1..{P.n}")
-    if quad_nodes < 64:
-        raise InvalidArgumentError("need at least 64 radial quadrature nodes per dimension")
-    if not isinstance(p_max, numbers.Integral) or p_max < 0:
-        raise InvalidArgumentError(f"p_max must be an integer >= 0, got {p_max!r}")
+    J = _checked_J(P, q, J, quad_nodes, p_max)
     expected = (quad_nodes, angular_nodes) * P.n
     if F.shape != expected:
         raise InvalidArgumentError(f"sample grid has shape {F.shape}, expected {expected}")
@@ -323,10 +332,10 @@ def expand(
 
     Coefficients are <f, e> / <e, e> with tensor quadrature for the inner
     product and closed-form norms.  See `sample_on_grid` for the callable
-    contract of f.
+    contract of f, which is called only once J, p_max and the node counts
+    have passed their checks.
     """
-    if quad_nodes < 64:
-        raise InvalidArgumentError("need at least 64 radial quadrature nodes per dimension")
+    _checked_J(P, q, J, quad_nodes, p_max)
     F = sample_on_grid(f, P, quad_nodes, angular_nodes)
     return expand_from_samples(
         F, P, q, J, truncation_lambda, cache, quad_nodes, angular_nodes, p_max

@@ -39,7 +39,7 @@ import math
 import numbers
 import threading
 
-from .bessel import MAX_ARGUMENT, _bessel_j_and_prime, bessel_j
+from .bessel import MAX_ARGUMENT, _bessel_j_and_derivatives, bessel_j
 from .errors import InternalConsistencyError, InvalidArgumentError, UnsupportedRangeError
 
 __all__ = [
@@ -235,7 +235,7 @@ class ZeroCache:
                     )
         x = 0.5 * (lo + hi)
         for _ in range(_MAX_NEWTON):
-            f, df = _bessel_j_and_prime(m, x)
+            f, df = _bessel_j_and_derivatives(m, x, 1)
             if df == 0.0:
                 break
             step = f / df

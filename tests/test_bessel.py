@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from polyspec import (
-    EvalConfig,
     InternalConsistencyError,
     InvalidArgumentError,
     UnsupportedRangeError,
@@ -23,7 +22,7 @@ from polyspec import (
     oracle_bessel_j,
 )
 from polyspec import bessel
-from polyspec.bessel import _bessel_j_and_prime
+from polyspec.bessel import _bessel_j_and_derivatives, _miller_start
 
 J1_AT_1 = 0.4400505857449335  # oracle, 30+ digits: 0.44005058574493351...
 J0_AT_2 = 0.22389077914123567  # oracle: 0.22389077914123566805...
@@ -89,11 +88,27 @@ def test_shared_pass_matches_separate_calls():
     cases += [(40, 40.5), (41, 41.5)]  # int(z) == m: unequal seeds, then equal by parity
     cases += [(60, 59.2), (199, 30.0), (120, 18.5)]  # m > z: unequal seeds
     for m, z in cases:
-        got = _bessel_j_and_prime(m, z)
+        got = _bessel_j_and_derivatives(m, z, 1)
         assert np.array_equal(_bits(got), _bits([bessel_j(m, z), bessel_j_prime(m, z)])), (m, z)
     for m, z in ((200, 30.0), (-200, 30.0), (1, 500.5), (1, -1.0)):
         with pytest.raises(UnsupportedRangeError):
-            _bessel_j_and_prime(m, z)
+            _bessel_j_and_derivatives(m, z, 1)
+    # k = 2: one pass for J_{m-2} .. J_{m+2} once int(z) >= m + 2
+    cases = [(m, z) for m, z in cases if abs(m) <= 198]
+    cases += [(1, 30.0), (2, 30.0), (198, 250.0), (-198, 250.0)]
+    cases += [(40, 41.5), (40, 40.5), (41, 42.5)]  # int(z) < m + 2: seeds equal by parity or not
+    for m, z in cases:
+        want = [bessel_j(m, z), bessel_j_prime(m, z), bessel_j_second(m, z)]
+        assert np.array_equal(_bits(_bessel_j_and_derivatives(m, z, 2)), _bits(want)), (m, z)
+    for m, z, what in (
+        (200, 30.0, "derivative at order 200"),
+        (199, 30.0, "second derivative at order 199"),
+        (-199, 30.0, "second derivative at order -199"),
+        (2, 500.5, "outside"),
+        (2, -1.0, "outside"),
+    ):
+        with pytest.raises(UnsupportedRangeError, match=what):
+            _bessel_j_and_derivatives(m, z, 2)
 
 
 def test_vector_evaluator_contract():
@@ -230,13 +245,56 @@ def test_many_has_the_bits_of_bessel_j_on_every_lane():
     for k, row in zip(orders, want):
         assert np.array_equal(_bits(bessel_j_many(k, z)), row)
         assert np.array_equal(_bits(bessel_j_many(k, square)), row[:1600].reshape(40, 40))
-    # No recurrence in the window grows past the rescale limit; below a
-    # lower switch point, these do once.
-    cfg = EvalConfig(series_switch_point=1.0)
-    m = np.array([200, -181, 150, 120, 200, 0, -3])
-    z = np.array([1.5, 3.0, 2.0, 1.2, 10.0, 1.5, 1.0])
-    want = _bits([bessel_j(int(k), float(x), cfg) for k, x in zip(m, z)])
-    assert np.array_equal(_bits(bessel_j_many(m, z[:, None], cfg)[:, 0]), want)
+
+
+def test_no_recurrence_in_the_window_nears_overflow():
+    # Why the Miller kernels keep no rescale: replayed from their seed, the
+    # recurrence peaks at the top orders just above the switch point (about
+    # 4.2e220 at (199, 18.000000000000004)), far below the double range.
+    switch = bessel.DEFAULT_CONFIG.series_switch_point
+    zs = [float(np.nextafter(switch, 19.0)), *np.linspace(switch, 19.0, 41)[1:].tolist(), 500.0]
+    top = 0.0
+    for m in (199, 200):
+        for z in zs:
+            fkp1, fk, peak = 0.0, 1e-30, 1e-30
+            two_over_z = 2.0 / z
+            for k in range(_miller_start(m, z), 0, -1):
+                fk, fkp1 = k * two_over_z * fk - fkp1, fk
+                peak = max(peak, abs(fk))
+            assert peak < 1e250, (m, z, peak)
+            top = max(top, peak)
+    assert top > 1e220  # the replay reaches the peak it bounds
+
+
+def test_a_recurrence_that_overflows_is_refused(monkeypatch):
+    # Below a lowered switch point the recurrence for J_200(1.5) overflows:
+    # its normalization is not finite, and both kernels refuse the value.
+    monkeypatch.setattr(bessel, "DEFAULT_CONFIG", bessel.EvalConfig(series_switch_point=1.0))
+    with pytest.raises(InternalConsistencyError):
+        bessel_j(200, 1.5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InternalConsistencyError):
+            bessel_j_many([200, 0], [[1.5], [1.5]])
+
+
+def test_bools_are_numbers_in_every_form():
+    # as in Python's numeric tower: True is 1 and False is 0, as order or argument
+    for b in (False, True):
+        for x in (0.5, 25.0):
+            want = _bits(bessel_j(int(b), float(x)))
+            assert _bits(bessel_j(b, x)) == want
+            assert _bits(bessel_j_many(b, x)) == want
+            assert np.array_equal(_bits(bessel_j_many([b], [[x]])), [[want]])
+            assert np.array_equal(_bits(bessel_j_many(np.array([b]), [[x]])), [[want]])
+        want = _bits(bessel_j(0, float(b)))
+        assert _bits(bessel_j(0, b)) == want
+        assert _bits(bessel_j_many(0, b)) == want
+        assert np.array_equal(_bits(bessel_j_many(0, np.array([b]))), [want])
+        assert np.array_equal(_bits(bessel_j_many(0, [b, 1.0])), [want, _bits(bessel_j(0, 1.0))])
+        assert np.array_equal(_bits(bessel_j_many([0], np.array([[b]]))), [[want]])
+    rows = bessel_j_many(np.array([True, False]), np.array([[True, 30.0], [False, 2.0]]))
+    want = [[bessel_j(1, 1.0), bessel_j(1, 30.0)], [bessel_j(0, 0.0), bessel_j(0, 2.0)]]
+    assert np.array_equal(_bits(rows), _bits(want))
 
 
 def test_recurrence_residual_contract():
@@ -340,14 +398,6 @@ def test_float32_argument_runs_in_double_precision(m, z):
     assert type(got) is float
     assert got.hex() == bessel_j(m, float(z32)).hex()
     assert bessel_j_prime(m, z32).hex() == bessel_j_prime(m, float(z32)).hex()
-
-
-def test_eval_config_validation():
-    for bad in (0.0, -1.0, math.nan):
-        with pytest.raises(InvalidArgumentError):
-            EvalConfig(series_switch_point=bad)
-    cfg = EvalConfig(series_switch_point=10.0)
-    assert bessel_j(0, 12.0, cfg) == pytest.approx(float(oracle_bessel_j(0, 12, 25)), rel=1e-12)
 
 
 def test_series_that_runs_out_of_terms_is_an_internal_fault(monkeypatch):

@@ -284,9 +284,15 @@ def test_J_or_p_max_of_the_wrong_type_is_refused(cache, J, p_max):
     F = np.ones((64, 32, 64, 32), dtype=complex)
     with pytest.raises(InvalidArgumentError):
         expand_from_samples(F, P11, 1, J, 8.0, cache, p_max=p_max)
-    f = lambda z1, z2: np.ones(np.broadcast(z1, z2).shape)
+    called = []
+
+    def f(z1, z2):
+        called.append(True)
+        return np.ones(np.broadcast(z1, z2).shape)
+
     with pytest.raises(InvalidArgumentError):
         expand(f, P11, 1, J, 8.0, cache, p_max=p_max)
+    assert not called
 
 
 def test_numpy_integer_J_entries_still_work(cache):

@@ -231,7 +231,7 @@ def test_warm_cache_refuses_what_a_cold_cache_refuses(m, j):
 
 def test_bracket_failure_aborts(monkeypatch):
     # a sign-change certification that fails must abort, never guess
-    monkeypatch.setattr(zeros_mod, "bessel_j", lambda m, z, cfg=None: 1.0)
+    monkeypatch.setattr(zeros_mod, "bessel_j", lambda m, z: 1.0)
     with pytest.raises(InternalConsistencyError):
         ZeroCache().zero(0, 1)
 
@@ -247,7 +247,7 @@ def test_inferred_endpoint_with_wrong_sign_aborts(monkeypatch):
         clean = ZeroCache().enclosure(0, j)
         for end in clean:
 
-            def flipped(m, z, cfg=None, end=end):
+            def flipped(m, z, end=end):
                 value = real(m, z)
                 return -value if z == end else value
 
