@@ -21,6 +21,7 @@ counts.
 from __future__ import annotations
 
 import math
+import os
 import struct
 
 import numpy as np
@@ -37,23 +38,29 @@ def write_grid(path: str, n: int, q: int, counts: list[tuple[int, int]], samples
     """Write complex samples for one coefficient function to `path`.
 
     `counts` holds (radial, angular) node counts per variable and must match
-    the sample array shape (radial and angular axes interleaved).
+    the sample array shape (radial and angular axes interleaved).  A
+    C-contiguous complex128 array is written as it lies, without a copy.
     """
     if len(counts) != n:
         raise InvalidArgumentError(f"expected {n} per-variable node counts, got {len(counts)}")
     shape = tuple(c for pair in counts for c in pair)
-    arr = np.ascontiguousarray(samples, dtype=np.complex128)
+    arr = np.ascontiguousarray(samples, dtype="<c16")
     if arr.shape != shape:
         raise InvalidArgumentError(f"sample shape {arr.shape} does not match counts {shape}")
     header = struct.pack("<4sIII", GRID_MAGIC, GRID_VERSION, n, q)
     header += b"".join(struct.pack("<II", r, t) for r, t in counts)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(arr.astype("<c16").tobytes(order="C"))
+        fh.write(arr.data)
 
 
 def read_grid(path: str) -> tuple[int, int, list[tuple[int, int]], np.ndarray]:
-    """Read a grid file; returns (n, q, counts, samples)."""
+    """Read a grid file; returns (n, q, counts, samples).
+
+    The payload's length is checked against the file's size before any of
+    it is read, and it is then read straight into the returned writable
+    complex128 array, so a read holds one payload's worth of memory.
+    """
     with open(path, "rb") as fh:
         head = fh.read(16)
         if len(head) < 16:
@@ -72,10 +79,12 @@ def read_grid(path: str) -> tuple[int, int, list[tuple[int, int]], np.ndarray]:
         shape = tuple(c for pair in counts for c in pair)
         # math.prod: a numpy product wraps in int64 for large counts
         expected = math.prod(shape) * 16
-        payload = fh.read()
-        if len(payload) != expected:
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size == expected:
+            samples = np.empty(shape, dtype="<c16")
+            size = fh.readinto(samples.data)
+        if size != expected:
             raise InvalidArgumentError(
-                f"{path}: payload is {len(payload)} bytes, expected {expected}"
+                f"{path}: payload is {size} bytes, expected {expected}"
             )
-        samples = np.frombuffer(payload, dtype="<c16").reshape(shape)
-    return n, q, counts, samples.astype(np.complex128)
+    return n, q, counts, samples.astype(np.complex128, copy=False)

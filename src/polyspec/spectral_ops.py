@@ -22,6 +22,15 @@ row), and each distinct profile's closed-form norm is computed once.
 keeps the bits of the mode-by-mode formulas (`mode_norm_sq`,
 `eval_coefficient`).
 
+Samples stream through the projection in slabs of at most `_SLAB` (2**20)
+samples: whole radial rows of the last variable, in radial order, against
+every node of the others.  `expand` calls f once per slab and
+`expand_from_samples` reads views of its grid's slabs; each slab is
+contracted over variables 1..n-1 as it comes, the partial results are
+joined, and only then is variable n contracted.  So no full grid or
+full-grid temporary of f is held, and no coefficient's bits depend on the
+slab size.  `sample_on_grid` fills its one output array by the same slabs.
+
 Holomorphic families cannot be materialized in full (the exponent is a
 free parameter), so expansions instantiate them up to an explicit cap
 `p_max`; the truncation is the caller's to choose and is visible in the
@@ -62,6 +71,10 @@ __all__ = [
     "sampled_norm_sq",
 ]
 
+# Most samples one call of f or one slab of a sample grid holds (16 MiB of
+# complex128), unless a single radial row of the last variable holds more.
+_SLAB = 1 << 20
+
 
 @dataclass(frozen=True)
 class Expansion:
@@ -91,24 +104,57 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def _check_count(what: str, n, least: int) -> None:
+    """Refuse a quadrature node count that is not an integer >= least."""
+    if not isinstance(n, numbers.Integral) or n < least:
+        raise InvalidArgumentError(
+            f"{what} quadrature node count must be an integer >= {least}, got {n!r}"
+        )
+
+
 def radial_quadrature(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [0, a] (plain dr weights)."""
-    if not isinstance(n, numbers.Integral) or n < 1:
-        raise InvalidArgumentError(
-            f"radial quadrature node count must be an integer >= 1, got {n!r}"
-        )
+    _check_count("radial", n, 1)
     x, w = _gauss_legendre(n)
     return 0.5 * a * (x + 1.0), 0.5 * a * w
 
 
 def angular_quadrature(t: int) -> tuple[np.ndarray, np.ndarray]:
     """Uniform angular nodes with trapezoid (equal) weights summing to 2 pi."""
-    if not isinstance(t, numbers.Integral) or t < 1:
-        raise InvalidArgumentError(
-            f"angular quadrature node count must be an integer >= 1, got {t!r}"
-        )
+    _check_count("angular", t, 1)
     theta = 2.0 * math.pi * np.arange(t) / t
     return theta, np.full(t, 2.0 * math.pi / t)
+
+
+def _grid_axes(P: Polydisc, quad_nodes: int, angular_nodes: int) -> list[np.ndarray]:
+    """Each variable's nodes r e^{i theta}, shaped to broadcast over the
+    interleaved (R, T, R, T, ...) grid."""
+    n = P.n
+    theta, _ = angular_quadrature(angular_nodes)
+    zs = []
+    for k in range(n):
+        r, _ = radial_quadrature(P.radii[k], quad_nodes)
+        shape = [1] * (2 * n)
+        shape[2 * k] = quad_nodes
+        shape[2 * k + 1] = angular_nodes
+        zs.append((r[:, None] * np.exp(1j * theta)[None, :]).reshape(shape))
+    return zs
+
+
+def _row_slices(n: int, quad_nodes: int, angular_nodes: int) -> list[slice]:
+    """The last variable's radial rows in radial order, cut into slabs of at
+    most _SLAB samples (one row per slab if a row alone holds more)."""
+    row = (quad_nodes * angular_nodes) ** (n - 1) * angular_nodes
+    step = max(1, _SLAB // row)
+    return [slice(lo, min(lo + step, quad_nodes)) for lo in range(0, quad_nodes, step)]
+
+
+def _sample_slab(f, zs: list[np.ndarray], rows: slice) -> np.ndarray:
+    """f on the slab of the grid whose last variable takes the radial `rows`."""
+    *head, last = zs
+    last = last[..., rows, :]
+    shape = np.broadcast_shapes(*(z.shape for z in head), last.shape)
+    return np.broadcast_to(np.asarray(f(*head, last), dtype=complex), shape)
 
 
 def sample_on_grid(
@@ -116,24 +162,19 @@ def sample_on_grid(
 ) -> np.ndarray:
     """Sample f on the tensor quadrature grid.
 
-    f is called once with n numpy-broadcastable complex arrays (one per
-    variable) and must return the broadcast result; wrap a scalar-only
-    callable with np.vectorize first.  The returned array has shape
+    f must be pointwise: it is called with n numpy-broadcastable complex
+    arrays (one per variable) and returns the broadcast result; wrap a
+    scalar-only callable with np.vectorize first.  It is called once per
+    slab: whole radial rows of the last variable, in their radial order,
+    against every node of the others, at most 2**20 samples unless one row
+    holds more.  The returned array is fresh and has shape
     (R, T, R, T, ...), radial and angular axes interleaved per variable.
     """
-    n = P.n
-    full_shape = (quad_nodes, angular_nodes) * n
-    zs = []
-    for k in range(n):
-        r, _ = radial_quadrature(P.radii[k], quad_nodes)
-        theta, _ = angular_quadrature(angular_nodes)
-        zk = r[:, None] * np.exp(1j * theta)[None, :]
-        shape = [1] * (2 * n)
-        shape[2 * k] = quad_nodes
-        shape[2 * k + 1] = angular_nodes
-        zs.append(zk.reshape(shape))
-    F = np.asarray(f(*zs), dtype=complex)
-    return np.broadcast_to(F, full_shape)
+    zs = _grid_axes(P, quad_nodes, angular_nodes)
+    out = np.empty((quad_nodes, angular_nodes) * P.n, dtype=complex)
+    for rows in _row_slices(P.n, quad_nodes, angular_nodes):
+        out[..., rows, :] = _sample_slab(f, zs, rows)
+    return out
 
 
 def sampled_norm_sq(F: np.ndarray, P: Polydisc, quad_nodes: int, angular_nodes: int) -> float:
@@ -233,8 +274,10 @@ def _factor_grids(factors: list[list[ModeFactor]], nodes: list[np.ndarray], thet
         yield np.stack(radial)[:, :, None] * phase[:, None, :]
 
 
-def _checked_J(P: Polydisc, q: int, J, quad_nodes: int, p_max: int) -> tuple[int, ...]:
-    """J as a tuple of ints, once J, the radial node count and p_max pass the
+def _checked_J(
+    P: Polydisc, q: int, J, quad_nodes: int, angular_nodes: int, p_max: int
+) -> tuple[int, ...]:
+    """J as a tuple of ints, once J, the node counts and p_max pass the
     checks an expansion makes before it reads any sample."""
     if not isinstance(J, Iterable):
         raise InvalidArgumentError(f"J = {J!r} is not a tuple of integers")
@@ -243,47 +286,61 @@ def _checked_J(P: Polydisc, q: int, J, quad_nodes: int, p_max: int) -> tuple[int
     J = tuple(int(k) for k in J)
     if len(J) != q or list(J) != sorted(set(J)) or J[0] < 1 or J[-1] > P.n:
         raise InvalidArgumentError(f"J = {J} is not a strictly increasing {q}-tuple in 1..{P.n}")
-    if not isinstance(quad_nodes, numbers.Integral) or quad_nodes < 64:
-        raise InvalidArgumentError(
-            f"radial quadrature node count must be an integer >= 64, got {quad_nodes!r}"
-        )
+    _check_count("radial", quad_nodes, 64)
+    _check_count("angular", angular_nodes, 1)
     if not isinstance(p_max, numbers.Integral) or p_max < 0:
         raise InvalidArgumentError(f"p_max must be an integer >= 0, got {p_max!r}")
     return J
 
 
-def expand_from_samples(
-    F: np.ndarray,
+def _expansion_modes(
     P: Polydisc,
     q: int,
     J: tuple[int, ...],
     truncation_lambda: float,
     cache: ZeroCache,
-    quad_nodes: int = 64,
-    angular_nodes: int = 32,
-    p_max: int = 16,
-) -> Expansion:
-    """Expansion of pre-sampled data on the canonical quadrature grid.
+    angular_nodes: int,
+    p_max: int,
+) -> list[EigenMode]:
+    """The modes on J below the cutoff, holomorphic exponents up to p_max.
 
-    A NaN or infinite sample raises InvalidArgumentError.
+    Warns when there are none, and refuses an angular node count that
+    aliases one of their orders.
     """
-    J = _checked_J(P, q, J, quad_nodes, p_max)
-    expected = (quad_nodes, angular_nodes) * P.n
-    if F.shape != expected:
-        raise InvalidArgumentError(f"sample grid has shape {F.shape}, expected {expected}")
-
     modes = [m for m in enumerate_modes(P, q, truncation_lambda, cache) if m.J == J]
     modes = _materialize_holomorphic(modes, p_max)
     if not modes:
         warnings.warn("truncation lies below the bottom of the spectrum; empty expansion")
-        return Expansion(J, (), truncation_lambda)
+        return modes
     max_m = max(abs(f.angular_order) for mode in modes for f in mode.factors)
     if angular_nodes < 2 * max_m + 2:
         raise InvalidArgumentError(
             f"{angular_nodes} angular nodes alias angular order {max_m}; "
             f"need at least {2 * max_m + 2}"
         )
+    return modes
 
+
+def _contract(G, stacks: list[np.ndarray]) -> np.ndarray:
+    """Contract G's leading (r, theta) axis pairs with the stacks in turn;
+    each appends one factor axis."""
+    G = np.asarray(G, dtype=complex)
+    with np.errstate(invalid="ignore"):  # inf samples: refused by _project
+        for stack in stacks:
+            G = np.tensordot(G, stack, axes=([0, 1], [1, 2]))
+    return G
+
+
+def _project(
+    slabs: Iterable, P: Polydisc, modes: list[EigenMode], quad_nodes: int, angular_nodes: int
+) -> tuple[tuple[EigenMode, complex], ...]:
+    """The terms <F, e> / <e, e> of the modes, from the slabs of the sample
+    grid F in the radial order of the last variable (`_row_slices`).
+
+    Each slab is contracted over variables 1..n-1 as it arrives; the
+    partial results are joined, and only then is variable n contracted, so
+    the full grid is never held and the bits do not depend on the slabs.
+    """
     # Distinct factors per variable, then one tensor contraction per variable.
     per_var_factors: list[list[ModeFactor]] = []
     per_var_index: list[dict[ModeFactor, int]] = []
@@ -295,14 +352,19 @@ def expand_from_samples(
                 seen[f] = len(seen)
         per_var_index.append(seen)
         per_var_factors.append(list(seen))
-    G = np.asarray(F, dtype=complex)
     radial = [radial_quadrature(a, quad_nodes) for a in P.radii]
     theta, wt = angular_quadrature(angular_nodes)
     grids = _factor_grids(per_var_factors, [r for r, _ in radial], theta)
-    for (r, wr), grid in zip(radial, grids):
-        stack = np.conj(grid) * np.multiply.outer(wr * r, wt)
-        with np.errstate(invalid="ignore"):  # inf samples: refused below
-            G = np.tensordot(G, stack, axes=([0, 1], [1, 2]))
+    stacks = [
+        np.conj(grid) * np.multiply.outer(wr * r, wt) for (r, wr), grid in zip(radial, grids)
+    ]
+    # BLAS sums a single factor on its vector path, whose entries depend on
+    # how many rows a slab has; a zero second factor, never read, keeps
+    # every slab on the matrix path, whose entries do not
+    inner = [np.concatenate([s, np.zeros_like(s)]) if len(s) == 1 else s for s in stacks[:-1]]
+    # map drops each slab before it asks for the next
+    parts = list(map(functools.partial(_contract, stacks=inner), slabs))
+    G = _contract(parts[0] if len(parts) == 1 else np.concatenate(parts), stacks[-1:])
     # a NaN or inf sample reaches every contracted entry: checking them is exact
     if not np.isfinite(G).all():
         raise InvalidArgumentError("sample grid holds a non-finite value")
@@ -314,7 +376,44 @@ def expand_from_samples(
         # the product in mode_norm_sq's order, so each coefficient keeps its bits
         coeff = complex(G[idx]) / math.prod(norms[f] for f in mode.factors)
         terms.append((mode, coeff))
-    return Expansion(J, tuple(terms), truncation_lambda)
+    return tuple(terms)
+
+
+def expand_from_samples(
+    F,
+    P: Polydisc,
+    q: int,
+    J: tuple[int, ...],
+    truncation_lambda: float,
+    cache: ZeroCache,
+    quad_nodes: int = 64,
+    angular_nodes: int = 32,
+    p_max: int = 16,
+) -> Expansion:
+    """Expansion of pre-sampled data on the canonical quadrature grid.
+
+    F is anything `np.asarray` takes, holding numbers (bool, integer, real
+    or complex) in the shape (R, T, R, T, ...) of `sample_on_grid`; any
+    other input, including None or a ragged nested list, raises
+    InvalidArgumentError, and so does a NaN or infinite sample.  The
+    projection reads F one slab of radial rows of the last variable at a
+    time, as `expand` reads f.
+    """
+    J = _checked_J(P, q, J, quad_nodes, angular_nodes, p_max)
+    try:
+        F = np.asarray(F)
+    except ValueError as exc:  # a ragged nested list
+        raise InvalidArgumentError(f"sample grid is not an array: {exc}") from None
+    expected = (quad_nodes, angular_nodes) * P.n
+    if F.shape != expected:
+        raise InvalidArgumentError(f"sample grid has shape {F.shape}, expected {expected}")
+    if F.dtype.kind not in "biufc":
+        raise InvalidArgumentError(f"sample grid holds {F.dtype} values, not numbers")
+    modes = _expansion_modes(P, q, J, truncation_lambda, cache, angular_nodes, p_max)
+    if not modes:
+        return Expansion(J, (), truncation_lambda)
+    slabs = (F[..., rows, :] for rows in _row_slices(P.n, quad_nodes, angular_nodes))
+    return Expansion(J, _project(slabs, P, modes, quad_nodes, angular_nodes), truncation_lambda)
 
 
 def expand(
@@ -331,15 +430,22 @@ def expand(
     """Project a coefficient function onto the eigenbasis below the cutoff.
 
     Coefficients are <f, e> / <e, e> with tensor quadrature for the inner
-    product and closed-form norms.  See `sample_on_grid` for the callable
-    contract of f, which is called only once J, p_max and the node counts
-    have passed their checks.
+    product and closed-form norms.  f must be pointwise (see
+    `sample_on_grid`): it is called once per slab of the grid, in the
+    radial order of the last variable, and each slab is projected before f
+    is called again, so the full grid is never held.  f is first called
+    once J, p_max and the node counts have passed their checks, the
+    angular nodes have been found not to alias any mode, and the truncation
+    has been found to hold a mode; an empty truncation warns and returns
+    an empty expansion without calling f.
     """
-    _checked_J(P, q, J, quad_nodes, p_max)
-    F = sample_on_grid(f, P, quad_nodes, angular_nodes)
-    return expand_from_samples(
-        F, P, q, J, truncation_lambda, cache, quad_nodes, angular_nodes, p_max
-    )
+    J = _checked_J(P, q, J, quad_nodes, angular_nodes, p_max)
+    modes = _expansion_modes(P, q, J, truncation_lambda, cache, angular_nodes, p_max)
+    if not modes:
+        return Expansion(J, (), truncation_lambda)
+    zs = _grid_axes(P, quad_nodes, angular_nodes)
+    slabs = (_sample_slab(f, zs, rows) for rows in _row_slices(P.n, quad_nodes, angular_nodes))
+    return Expansion(J, _project(slabs, P, modes, quad_nodes, angular_nodes), truncation_lambda)
 
 
 def apply_box(x: Expansion) -> Expansion:

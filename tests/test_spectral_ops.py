@@ -2,6 +2,7 @@
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -310,6 +311,66 @@ def test_non_finite_sample_is_refused(cache):
         expand_from_samples(F, P11, 1, (1,), 8.0, cache, p_max=4)
 
 
+def test_aliasing_and_an_empty_truncation_are_found_before_sampling(cache):
+    calls = []
+
+    def f(z1, z2):
+        calls.append(True)
+        return np.ones(np.broadcast(z1, z2).shape, dtype=complex)
+
+    with pytest.raises(InvalidArgumentError, match="alias"):
+        expand(f, P11, 1, (1,), 5.0, cache, angular_nodes=8, p_max=16)
+    with pytest.warns(UserWarning, match="empty expansion"):
+        x = expand(f, P11, 1, (1,), 0.1, cache)
+    assert x.terms == () and not calls
+
+
+def test_f_is_called_once_per_slab_in_radial_order(cache, monkeypatch):
+    # 16 radial rows of z2 against the whole 64 x 32 grid of z1 per slab
+    calls = []
+    seen = []
+
+    def f(z1, z2):
+        calls.append((z1.shape, z2.shape))
+        seen.append(np.abs(z2[0, 0, :, 0]))
+        return np.ones(np.broadcast(z1, z2).shape, dtype=complex)
+
+    expand(f, P11, 1, (1,), 8.0, cache, p_max=6)
+    assert calls == [((64, 32, 1, 1), (1, 1, 16, 32))] * 4
+    assert np.array_equal(np.concatenate(seen), radial_quadrature(1.0, 64)[0])
+    calls.clear()
+    monkeypatch.setattr(spectral_ops, "_SLAB", 1)  # a row is the least slab
+    assert sample_on_grid(f, P11, 64, 32).shape == (64, 32, 64, 32)
+    assert calls == [((64, 32, 1, 1), (1, 1, 1, 32))] * 64
+
+
+def test_expand_from_samples_takes_what_asarray_takes(cache):
+    F = np.random.default_rng(3).normal(size=(64, 8, 64, 8))
+    x = expand_from_samples(F, P11, 1, (1,), 8.0, cache, 64, 8, p_max=3)
+    assert x.terms
+    assert expand_from_samples(F.tolist(), P11, 1, (1,), 8.0, cache, 64, 8, p_max=3) == x
+    for bad, match in (
+        (None, r"has shape \(\)"),
+        ([[1.0, 2.0], [3.0]], "not an array"),
+        (np.full(F.shape, None), "not numbers"),
+    ):
+        with pytest.raises(InvalidArgumentError, match=match):
+            expand_from_samples(bad, P11, 1, (1,), 8.0, cache, 64, 8, p_max=3)
+
+
+def test_expand_holds_less_than_the_grid(cache):
+    # criterion 8's grid: 64 x 32 nodes per variable, 64 MiB of samples
+    f = lambda z1, z2: np.exp(-(np.abs(z1) ** 2)) * (1.0 + z1 + 0.5 * np.conj(z2) ** 2) * (0.3 + z2)
+    expand(f, P11, 1, (1,), 8.0, cache, p_max=6)  # every lazy table is built
+    tracemalloc.start()
+    try:
+        expand(f, P11, 1, (1,), 8.0, cache, p_max=6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 32 * 64 * 32 * 16
+
+
 def test_gridfile_roundtrip(tmp_path, cache, basis):
     f = _coefficient_function([(basis[0], 1.0 - 0.5j)])
     F = sample_on_grid(f, P11, 64, 32)
@@ -349,6 +410,35 @@ def test_gridfile_rejects_wrapped_size(tmp_path):
         path.write_bytes(struct.pack("<4sIII4I", b"PSPC", 1, 2, 1, *counts))
         with pytest.raises(InvalidArgumentError, match=r"expected \d+$"):
             read_grid(str(path))
+
+
+
+def test_gridfile_bytes_do_not_depend_on_the_input_layout(tmp_path):
+    F = np.random.default_rng(4).normal(size=(8, 4, 8, 6)) + 1j
+    header = struct.pack("<4sIIIIIII", b"PSPC", 1, 2, 1, 8, 4, 8, 6)
+    want = header + F.astype("<c16").tobytes()
+    path = tmp_path / "layout.pspc"
+    for samples in (F, np.asfortranarray(F), F.real.copy() + 1j, F.tolist()):
+        write_grid(str(path), 2, 1, [(8, 4), (8, 6)], samples)
+        assert path.read_bytes() == want
+
+
+def test_gridfile_io_holds_one_payload(tmp_path):
+    F = np.random.default_rng(6).normal(size=(64, 32, 16, 16)) + 0.5j
+    path = tmp_path / "big.pspc"
+    tracemalloc.start()
+    try:
+        write_grid(str(path), 2, 1, [(64, 32), (16, 16)], F)
+        written = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        *_, back = read_grid(str(path))
+        read = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert written < 0.05 * F.nbytes
+    assert F.nbytes <= read < 1.05 * F.nbytes
+    assert back.dtype == np.complex128 and back.flags.writeable
+    assert np.array_equal(back, F)
 
 
 P_MIXED = Polydisc((1.0, 1.3))
@@ -464,3 +554,47 @@ def test_quadrature_arrays_are_fresh(cache):
     r2, w2 = radial_quadrature(1.0, 64)
     assert r2.min() > 0.0 and w2.min() > 0.0
     assert abs(w2.sum() - 1.0) < 1e-14
+
+
+def _bits(x):
+    return [(c.real.hex(), c.imag.hex()) for _, c in x.terms]
+
+
+# P(1, 1.2, 0.8) on 64 x 2 nodes: q = 2 on J = (1, 3) below 4 has one mode,
+# and J = (1,) below 6 has 12 for a projection that ignores their aliasing
+P3 = Polydisc((1.0, 1.2, 0.8))
+
+
+@pytest.mark.parametrize("rows", [1, 3, 64], ids=["row", "rows", "grid"])
+def test_results_do_not_depend_on_the_slab_size(cache, monkeypatch, mixed_expansion, rows):
+    F2, x2 = mixed_expansion
+    f2 = lambda z1, z2: np.exp(-(np.abs(z1) ** 2)) * (1.0 + z1 + 0.5 * np.conj(z2) ** 2) * (0.3 + z2)
+    f3 = lambda z1, z2, z3: np.exp(-np.abs(z1 + z3) ** 2) * (1.0 + z2 * np.conj(z3))
+    G3 = np.random.default_rng(8).normal(size=(64, 2) * 3)
+    modes3 = [m for m in enumerate_modes(P3, 1, 6.0, cache) if m.J == (1,)]
+    modes3 = spectral_ops._materialize_holomorphic(modes3, 0)
+
+    def run2():
+        return (
+            sample_on_grid(f2, P_MIXED, 64, 32).tobytes(),
+            _bits(expand(f2, P_MIXED, 1, (1,), 30.0, cache, 64, 32, p_max=3)),
+            _bits(expand_from_samples(F2, P_MIXED, 1, (1,), 30.0, cache, 64, 32, p_max=3)),
+            # one factor on z1: the contraction that BLAS would take as a vector
+            _bits(expand(f2, P11, 1, (1,), 2.0, cache, p_max=4)),
+        )
+
+    def run3():
+        slabs = (G3[..., s, :] for s in spectral_ops._row_slices(3, 64, 2))
+        return (
+            sample_on_grid(f3, P3, 64, 2).tobytes(),
+            _bits(expand(f3, P3, 2, (1, 3), 4.0, cache, 64, 2, p_max=0)),
+            _bits(Expansion((1,), spectral_ops._project(slabs, P3, modes3, 64, 2), 6.0)),
+        )
+
+    want2, want3 = run2(), run3()  # the module's slab: 16 rows for n = 2, 32 for n = 3
+    assert want2[0] == F2.tobytes() and want2[1] == want2[2] == _bits(x2)
+    assert len(want2[3]) == 5 and len(want3[1]) == 1 and len(want3[2]) == 12
+    monkeypatch.setattr(spectral_ops, "_SLAB", rows * 64 * 32 * 32)
+    assert run2() == want2
+    monkeypatch.setattr(spectral_ops, "_SLAB", rows * 128 * 128 * 2)
+    assert run3() == want3
