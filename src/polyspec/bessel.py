@@ -544,8 +544,8 @@ def oracle_bessel_j(m: int, z, digits: int = 50) -> mp.mpf:
 
     if not isinstance(m, int):
         raise InvalidArgumentError(f"order must be an integer, got {m!r}")
-    if digits > 100 or digits < 1:
-        raise InvalidArgumentError("digits must lie in [1, 100]")
+    if not isinstance(digits, int) or not (1 <= digits <= 100):
+        raise InvalidArgumentError(f"digits must be an integer in [1, 100], got {digits!r}")
     sign = 1
     if m < 0:
         m = -m

@@ -146,7 +146,7 @@ def _parse_radii(parser: argparse.ArgumentParser, text: str) -> tuple[float, ...
 # ---------------------------------------------------------------------------
 
 def _cmd_zeros(args, out) -> int:
-    cache = ZeroCache(width_tol=args.tol)
+    cache = ZeroCache()
     values = [cache.zero(args.order, j) for j in range(1, args.count + 1)]
     if args.format == "json":
         out.write(_json({"order": args.order, "count": args.count, "zeros": values}) + "\n")
@@ -320,12 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zeros", help="positive zeros of J_m")
     p.add_argument("--order", type=int, required=True, help="Bessel order m (sign ignored)")
     p.add_argument("--count", type=int, required=True, help="number of zeros to print")
-    p.add_argument(
-        "--tol",
-        type=float,
-        default=1e-13,
-        help="relative enclosure width accepted by bisection (default: %(default)g)",
-    )
     p.add_argument("--format", **fmt, help="output format (default: %(default)s)")
     p.set_defaults(func=_cmd_zeros)
 

@@ -118,8 +118,10 @@ def zero_table(
     refused (InternalConsistencyError): no two positive zeros of J_nu and
     J_{nu+k} coincide (Bourget's hypothesis, proved by Siegel; Watson 15.28).
     """
-    if not (a > 0.0):
-        raise InvalidArgumentError("radius must be positive")
+    if not (a > 0.0) or not math.isfinite(a):
+        raise InvalidArgumentError(f"radius must be positive and finite, got {a!r}")
+    if not math.isfinite(lambda_max):
+        raise InvalidArgumentError(f"cutoff must be finite, got {lambda_max!r}")
     lams: list[float] = []
     nus: list[int] = []
     js: list[int] = []

@@ -5,7 +5,7 @@ Layout, all little-endian:
     offset  size  field
     0       4     magic, ASCII "PSPC"
     4       4     format version, u32 (currently 1)
-    8       4     n  (number of complex variables), u32
+    8       4     n  (number of complex variables, at least 1), u32
     12      4     q  (form degree the samples belong to), u32
     16      8*n   per variable: radial node count u32, angular node count u32
     ...           payload: float64 pairs (re, im), C order, logical shape
@@ -21,6 +21,7 @@ counts.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import struct
 
@@ -38,12 +39,20 @@ def write_grid(path: str, n: int, q: int, counts: list[tuple[int, int]], samples
     """Write complex samples for one coefficient function to `path`.
 
     `counts` holds (radial, angular) node counts per variable and must match
-    the sample array shape (radial and angular axes interleaved).  A
-    C-contiguous complex128 array is written as it lies, without a copy.
+    the sample array shape (radial and angular axes interleaved).  n >= 1,
+    q and the counts must be integers that fit a u32; everything is checked
+    before the file is opened.  A C-contiguous complex128 array is written
+    as it lies, without a copy.
     """
+    _check_u32("n", n)
+    _check_u32("q", q)
+    if n == 0:
+        raise InvalidArgumentError("a grid needs at least one variable, got n = 0")
     if len(counts) != n:
         raise InvalidArgumentError(f"expected {n} per-variable node counts, got {len(counts)}")
     shape = tuple(c for pair in counts for c in pair)
+    for c in shape:
+        _check_u32("node count", c)
     arr = np.ascontiguousarray(samples, dtype="<c16")
     if arr.shape != shape:
         raise InvalidArgumentError(f"sample shape {arr.shape} does not match counts {shape}")
@@ -52,6 +61,11 @@ def write_grid(path: str, n: int, q: int, counts: list[tuple[int, int]], samples
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(arr.data)
+
+
+def _check_u32(name: str, value) -> None:
+    if not isinstance(value, numbers.Integral) or not (0 <= value < 2**32):
+        raise InvalidArgumentError(f"{name} must be an integer in [0, 2**32), got {value!r}")
 
 
 def read_grid(path: str) -> tuple[int, int, list[tuple[int, int]], np.ndarray]:
@@ -70,6 +84,8 @@ def read_grid(path: str) -> tuple[int, int, list[tuple[int, int]], np.ndarray]:
             raise InvalidArgumentError(f"{path}: bad magic {magic!r}")
         if version != GRID_VERSION:
             raise InvalidArgumentError(f"{path}: unsupported version {version}")
+        if n == 0:
+            raise InvalidArgumentError(f"{path}: a grid needs at least one variable, got n = 0")
         counts = []
         for _ in range(n):
             pair = fh.read(8)

@@ -23,7 +23,6 @@ from .eigenforms import FormPoint, dbar_boundary_residual, eval_coefficient, lap
 from .errors import InvalidArgumentError, PolyspecError
 from .spectrum import Polydisc, assemble_spectrum, bottom, enumerate_modes, mode_descriptor
 from .verify import BoundaryCondition, brute_force_spectrum, fd_convergence_report
-from .verify import sufficient_bounds
 from .zeros import ZeroCache, j0_bracket
 
 __all__ = ["CheckResult", "SUITES", "run_checks", "run_suite", "run_suites"]
@@ -201,10 +200,9 @@ def check_enumeration_oracle(rng, cache: ZeroCache, radii_sets, lam_max) -> list
     out = []
     for radii in radii_sets:
         P = Polydisc(radii)
-        m_bound, j_bound = sufficient_bounds(P, lam_max, cache)
         for q in range(1, P.n):
             modes = enumerate_modes(P, q, lam_max, cache)
-            pairs = brute_force_spectrum(P, q, lam_max, m_bound, j_bound, cache)
+            pairs = brute_force_spectrum(P, q, lam_max, cache)
             ours = {mode_descriptor(m): m.value for m in modes}
             oracle = {d: v for v, d in pairs}
             # a repeated descriptor shrinks its dict below its list

@@ -49,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .disc_modes import FactorKind, FactorTable, ModeFactor, disc_table
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, UnsupportedRangeError
 from .zeros import ZeroCache
 
 __all__ = [
@@ -208,6 +208,8 @@ def _validate_q(n: int, q: int, lambda_max: float = 0.0) -> int:
         raise InvalidArgumentError(f"q = {q!r} out of range: need 1 <= q <= n - 1 = {n - 1}")
     if not math.isfinite(lambda_max):
         raise InvalidArgumentError("lambda_max must be finite")
+    if not math.isfinite(4.0 * lambda_max):  # the factor tables' budget
+        raise UnsupportedRangeError(f"lambda_max = {lambda_max!r} is beyond the zero window")
     return int(q)
 
 

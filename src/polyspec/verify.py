@@ -9,9 +9,10 @@ Nothing here shares evaluation paths with the modules it checks:
   eigenvalues converge at second order to the analytic closed forms.
 * `quad_inner_product` checks the weighted Bessel orthogonality relations
   by Gauss-Legendre quadrature.
-* `brute_force_spectrum` re-enumerates small polydisc spectra with plain
-  exhaustive loops over explicit index bounds, no pruning, and verifies its
-  own bounds are generous enough to be complete.
+* `brute_force_spectrum` re-enumerates small polydisc spectra, for any n,
+  with plain exhaustive loops over index bounds from `sufficient_bounds`,
+  no pruning, and verifies at every radius that the bounds are generous
+  enough to be complete.
 
 The staggered grid r_i = (i - 1/2) h avoids the r = 0 coordinate
 singularity without one-sided stencils (the inner flux coefficient r = 0
@@ -37,7 +38,7 @@ from .errors import (
     OracleInsufficientError,
     UnsupportedRangeError,
 )
-from .spectral_ops import _gauss_legendre
+from .spectral_ops import _check_count, _gauss_legendre
 from .spectrum import Polydisc
 from .zeros import ZeroCache
 
@@ -236,8 +237,7 @@ def quad_inner_product(
         raise InvalidArgumentError("order must be non-negative here")
     if j < 1 or k < 1:
         raise InvalidArgumentError("zero indices must be >= 1")
-    if nodes < 256:
-        raise InvalidArgumentError("use at least 256 quadrature nodes")
+    _check_count("radial", nodes, 256)
     x, w = _gauss_legendre(nodes)
     r = 0.5 * (x + 1.0)
     wr = 0.5 * w
@@ -259,8 +259,9 @@ def radial_basis_gram(
     """
     if m < 0:
         raise InvalidArgumentError("order must be non-negative here")
-    if size < 2:
-        raise InvalidArgumentError("need at least two basis elements")
+    if not isinstance(size, numbers.Integral) or size < 2:
+        raise InvalidArgumentError(f"need an integer size >= 2 basis elements, got {size!r}")
+    _check_count("radial", nodes, 1)
     x, w = _gauss_legendre(nodes)
     r = 0.5 * (x + 1.0)
     wr = 0.5 * w * r
@@ -277,6 +278,8 @@ def sufficient_bounds(
     P: Polydisc, lambda_max: float, cache: ZeroCache
 ) -> tuple[int, int]:
     """Smallest (m_bound, j_bound) that certify brute-force completeness."""
+    if not math.isfinite(lambda_max):
+        raise InvalidArgumentError(f"lambda_max must be finite, got {lambda_max!r}")
     budget = 4.0 * lambda_max
     a_max = max(P.radii)
     m_bound = 0
@@ -289,29 +292,22 @@ def sufficient_bounds(
 
 
 def brute_force_spectrum(
-    P: Polydisc,
-    q: int,
-    lambda_max: float,
-    m_bound: int,
-    j_bound: int,
-    cache: ZeroCache,
+    P: Polydisc, q: int, lambda_max: float, cache: ZeroCache
 ) -> list[tuple[float, tuple]]:
-    """Exhaustive oracle enumeration for n = 2 or 3; no pruning, no shared code.
+    """Exhaustive oracle enumeration for any n; no pruning, no shared code.
 
-    Every factor tuple inside the explicit index bounds is summed; the
-    bounds themselves are certified first: the smallest contribution they
-    exclude must exceed 4 * lambda_max, otherwise the enumeration could be
-    incomplete and an OracleInsufficientError is raised (never a silent
-    truncation).  Returns (value, descriptor) pairs in no specified order;
-    descriptors follow `spectrum.mode_descriptor`.
+    Every factor tuple inside the index bounds of `sufficient_bounds` is
+    summed, left to right from an exact 0.0.  The bounds are certified at
+    every radius first: the smallest contribution they exclude must exceed
+    4 * lambda_max, otherwise the enumeration could be incomplete and an
+    OracleInsufficientError is raised (never a silent truncation).  Returns
+    (value, descriptor) pairs in no specified order; descriptors follow
+    `spectrum.mode_descriptor`.
     """
     n = P.n
-    if n not in (2, 3):
-        raise InvalidArgumentError("brute-force oracle supports n = 2 or 3 only")
-    if not (1 <= q <= n - 1):
-        raise InvalidArgumentError(f"q = {q} out of range for n = {n}")
-    if m_bound < 0 or j_bound < 1:
-        raise InvalidArgumentError("bounds must satisfy m_bound >= 0, j_bound >= 1")
+    if not isinstance(q, numbers.Integral) or not (1 <= q <= n - 1):
+        raise InvalidArgumentError(f"q = {q!r} is not an integer in [1, {n - 1}]")
+    m_bound, j_bound = sufficient_bounds(P, lambda_max, cache)
     budget = 4.0 * lambda_max
     for a in P.radii:
         excluded = min(
@@ -345,25 +341,21 @@ def brute_force_spectrum(
         com_vals.append(np.array(vals))
         com_desc.append(desc)
 
+    # Every index tuple of the first n - 2 variables, then one outer sum of
+    # the last two: ((0.0 + v_1) + v_2) + ... + v_n.
     out: list[tuple[float, tuple]] = []
     for J in itertools.combinations(range(1, n + 1), q):
         jset = set(J)
         vals = [dir_vals[k - 1] if k in jset else com_vals[k - 1] for k in range(1, n + 1)]
         descs = [dir_desc[k - 1] if k in jset else com_desc[k - 1] for k in range(1, n + 1)]
-        if n == 2:
-            total = (vals[0][:, None] + vals[1][None, :]) / 4.0
-            for i0, i1 in np.argwhere(total <= lambda_max):
+        for head in itertools.product(*(range(len(v)) for v in vals[:-2])):
+            partial = 0.0
+            for v, i in zip(vals, head):
+                partial += v[i]
+            total = ((partial + vals[-2][:, None]) + vals[-1][None, :]) / 4.0
+            head_desc = tuple(d[i] for d, i in zip(descs, head))
+            for i1, i2 in np.argwhere(total <= lambda_max):
                 out.append(
-                    (float(total[i0, i1]), (J, (descs[0][i0], descs[1][i1])))
+                    (float(total[i1, i2]), (J, (*head_desc, descs[-2][i1], descs[-1][i2])))
                 )
-        else:
-            for i0, v0 in enumerate(vals[0]):
-                total = ((v0 + vals[1][:, None]) + vals[2][None, :]) / 4.0
-                for i1, i2 in np.argwhere(total <= lambda_max):
-                    out.append(
-                        (
-                            float(total[i1, i2]),
-                            (J, (descs[0][i0], descs[1][i1], descs[2][i2])),
-                        )
-                    )
     return out

@@ -24,7 +24,7 @@ Refinement:
   evaluated signs at both ends; one that shows no sign change aborts.
   Wherever the computed sign of J changes once in the bracket, enclosures
   and values are bit for bit those of the plain bisection; every zero of
-  the window was checked, at the default width and at float resolution;
+  the window was checked;
 * a few Newton steps polish the midpoint (quadratic convergence), each
   from one backward-recurrence pass where J_{m-1}, J_m and J_{m+1} share
   a seed.
@@ -84,15 +84,14 @@ def _j0_bracket(k: int) -> tuple[float, float, float, float]:
 class ZeroCache:
     """Memoized table of positive Bessel zeros with certified enclosures.
 
-    Entries are immutable and inserted whole under a single lock, so
-    concurrent lookups never observe a partially computed entry.  Growth is
-    on-demand and monotone; nothing is ever invalidated.
+    Every enclosure is refined to one fixed relative width (`_WIDTH_TOL`),
+    so a zero has one value whatever cache computes it.  Entries are
+    immutable and inserted whole under a single lock, so concurrent lookups
+    never observe a partially computed entry.  Growth is on-demand and
+    monotone; nothing is ever invalidated.
     """
 
-    def __init__(self, width_tol: float = _WIDTH_TOL):
-        if not (width_tol > 0.0):
-            raise InvalidArgumentError("width_tol must be positive")
-        self._width_tol = width_tol
+    def __init__(self):
         self._lock = threading.RLock()
         self._table: dict[tuple[int, int], tuple[float, tuple[float, float]]] = {}
         self._filled: dict[int, int] = {}  # order -> highest contiguous index
@@ -199,7 +198,7 @@ class ZeroCache:
             raise InternalConsistencyError(
                 f"bracket ({lo}, {hi}) shows no sign change for J_{m}"
             )
-        target = self._width_tol * max(1.0, hi)
+        target = _WIDTH_TOL * max(1.0, hi)
         a, b = _narrow(m, lo, flo, hi, fhi, target)
         # Bisection replay: the bracket holds one zero, inside [a, b], so a
         # midpoint outside [a, b] has the sign of the end on its side.
@@ -208,9 +207,7 @@ class ZeroCache:
         for _ in range(_MAX_BISECTIONS):
             if hi - lo <= target:
                 break
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break  # interval at float resolution
+            mid = 0.5 * (lo + hi)  # strictly inside: wider than target is > 400 ulps
             if mid < a:
                 lo, lo_seen = mid, False
                 continue
@@ -259,8 +256,9 @@ def _narrow(
     superlinearly.  A secant point closer than half the target width to an
     end is moved out to that distance, so once one end sits on the zero the
     next point lands just across it and closes the bracket; a point that is
-    not strictly inside is replaced by the midpoint.  It stops early only at
-    float resolution or an exact zero.
+    not strictly inside (a NaN secant) is replaced by the midpoint, which is
+    strictly inside: a bracket wider than the target spans many ulps.  It
+    stops early only at an exact zero.
     """
     step = 0.5 * target
     a, fa, b, fb = lo, flo, hi, fhi
@@ -271,8 +269,6 @@ def _narrow(
         c = min(max(b - fb * (b - a) / (fb - fa), a + step), b - step)
         if not (a < c < b):
             c = 0.5 * (a + b)
-            if not (a < c < b):
-                break
         fc = bessel_j(m, c)
         if fc == 0.0:
             break  # c is inside [a, b], where the replay evaluates every midpoint

@@ -418,3 +418,5 @@ def test_oracle_contract():
     assert float(oracle_bessel_j(-3, 2, 40)) == -float(oracle_bessel_j(3, 2, 40))
     with pytest.raises(InvalidArgumentError):
         oracle_bessel_j(0, 1, 101)
+    with pytest.raises(InvalidArgumentError, match="integer"):
+        oracle_bessel_j(0, 1.0, 2.5)

@@ -182,6 +182,8 @@ def test_bad_flags_exit_2():
     assert run_cli("nonsense").returncode == 2
     assert run_cli("verify", "--suite", "bessel", "--seed", "-1").returncode == 2
     assert run_cli("zeros", "--order", "0", "--count", "-2").returncode == 2
+    # every enclosure has one fixed width; there is no width to set
+    assert run_cli("zeros", "--order", "0", "--count", "3", "--tol", "1e-3").returncode == 2
     # points group by exact class key; there is no grouping tolerance to set
     assert run_cli("spectrum", "--radii", "1,1", "--q", "1", "--max", "3", "--group-tol", "1e-9").returncode == 2
 

@@ -147,6 +147,16 @@ def test_factor_lists_match_fd_oracle(cache):
             assert got == pytest.approx(want, rel=5e-3)
 
 
+@pytest.mark.parametrize(
+    "a,lam", [(1.0, math.nan), (1.0, math.inf), (1.0, -math.inf), (math.inf, 5.0), (math.nan, 5.0)]
+)
+def test_non_finite_cutoffs_and_radii_are_refused(cache, a, lam):
+    # a NaN cutoff used to give an empty table, an infinite radius a range error
+    for table in (zero_table, disc_table, dirichlet_factors, neumann_factors):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            table(a, lam, cache)
+
+
 def test_zero_table_refuses_coinciding_zeros(cache):
     # on one disc no two zeros coincide (Bourget-Siegel); a cache that hands
     # the rows (1, 1) and (2, 1) the same zero is faulty

@@ -412,6 +412,35 @@ def test_gridfile_rejects_wrapped_size(tmp_path):
             read_grid(str(path))
 
 
+def test_gridfile_refuses_a_grid_with_no_variables(tmp_path):
+    path = tmp_path / "empty.pspc"
+    path.write_bytes(struct.pack("<4sIII", b"PSPC", 1, 0, 0) + struct.pack("<2d", 1.5, 2.0))
+    with pytest.raises(InvalidArgumentError, match="at least one variable"):
+        read_grid(str(path))
+    path.unlink()
+    with pytest.raises(InvalidArgumentError, match="at least one variable"):
+        write_grid(str(path), 0, 0, [], np.array(1.5 + 2j))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "n,q,counts",
+    [
+        (2.0, 1, [(4, 4), (4, 4)]),
+        (-1, 1, []),
+        (2, -1, [(4, 4), (4, 4)]),
+        (2, 2**32, [(4, 4), (4, 4)]),
+        (2, 1, [(4, 4), (-4, 4)]),
+        (2, 1, [(4, 4), (2**32, 4)]),
+        (2, 1, [(4, 4), (4.0, 4)]),
+    ],
+)
+def test_write_grid_refuses_what_a_u32_cannot_hold(tmp_path, n, q, counts):
+    path = tmp_path / "bad.pspc"
+    with pytest.raises(InvalidArgumentError, match=r"integer in \[0, 2\*\*32\)"):
+        write_grid(str(path), n, q, counts, np.zeros((4, 4, 4, 4), dtype=complex))
+    assert not path.exists()
+
 
 def test_gridfile_bytes_do_not_depend_on_the_input_layout(tmp_path):
     F = np.random.default_rng(4).normal(size=(8, 4, 8, 6)) + 1j

@@ -16,6 +16,7 @@ from polyspec import (
     FactorKind,
     InvalidArgumentError,
     Polydisc,
+    UnsupportedRangeError,
     assemble_spectrum,
     bottom,
     counting,
@@ -130,9 +131,7 @@ def _brute_force_points(P, q, lam, cache):
     Dirichlet and |m + 1| for Neumann-positive factors: per key its least
     value, finite mode count and infinite flag, ascending."""
     groups = collections.defaultdict(list)
-    for value, (_, factors) in verify.brute_force_spectrum(
-        P, q, lam, *verify.sufficient_bounds(P, lam, cache), cache
-    ):
+    for value, (_, factors) in verify.brute_force_spectrum(P, q, lam, cache):
         key = sorted(
             (a, -1, 0) if kind == "holomorphic" else (a, abs(m + (kind == "neumann")), j)
             for a, (kind, m, j) in zip(P.radii, factors)
@@ -502,6 +501,17 @@ def test_malformed_J_is_refused(cache, J):
 def test_non_finite_mode_value_is_refused(cache, value):
     with pytest.raises(InvalidArgumentError, match="finite"):
         EigenMode((), _holomorphic_and_neumann(cache), value)
+
+
+def test_cutoffs_past_the_tables_budget_are_refused(cache):
+    P = Polydisc((1.0, 1.5))
+    for lam in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            assemble_spectrum(P, 1, lam, cache=cache)
+    # 4 * lambda_max overflows: a range error, as for any cutoff past the
+    # zero window, not the tables' refusal of an infinite cutoff
+    with pytest.raises(UnsupportedRangeError, match="zero window"):
+        assemble_spectrum(P, 1, 1e308, cache=cache)
 
 
 def test_empty_J_and_zero_value_stay_legal(cache):

@@ -126,6 +126,8 @@ def test_quad_orthogonality(cache):
         quad_inner_product(-1, 1, 1, cache)
     with pytest.raises(InvalidArgumentError):
         quad_inner_product(0, 1, 1, cache, nodes=64)
+    with pytest.raises(InvalidArgumentError, match="integer"):
+        quad_inner_product(0, 1, 1, cache, nodes=300.5)
 
 
 def test_radial_basis_gram_block_orthogonal(cache):
@@ -138,6 +140,10 @@ def test_radial_basis_gram_block_orthogonal(cache):
         # nonsingular with comfortable margin once normalized
         normalized = g / np.outer(d, d)
         assert np.min(np.linalg.eigvalsh(normalized)) > 0.99
+    with pytest.raises(InvalidArgumentError, match="integer"):
+        radial_basis_gram(0, 2.5, cache)
+    with pytest.raises(InvalidArgumentError, match="integer"):
+        radial_basis_gram(0, 12, cache, nodes=400.5)
 
 
 def test_quadrature_rows_come_from_one_call(cache, monkeypatch):
@@ -170,8 +176,7 @@ def test_brute_force_matches_enumeration(cache, radii):
     P = Polydisc(radii)
     lam_max = 10.0
     ours = _as_pairs(enumerate_modes(P, 1, lam_max, cache))
-    m_bound, j_bound = sufficient_bounds(P, lam_max, cache)
-    oracle = sorted(brute_force_spectrum(P, 1, lam_max, m_bound, j_bound, cache))
+    oracle = sorted(brute_force_spectrum(P, 1, lam_max, cache))
     assert len(ours) == len(oracle)
     for (v1, d1), (v2, d2) in zip(ours, oracle):
         assert abs(v1 - v2) < 1e-10
@@ -180,7 +185,9 @@ def test_brute_force_matches_enumeration(cache, radii):
 
 def test_brute_force_below_bottom_empty(cache):
     P = Polydisc((1.0, 1.0))
-    assert brute_force_spectrum(P, 1, 1.0, 6, 3, cache) == []
+    assert brute_force_spectrum(P, 1, 1.0, cache) == []
+    with pytest.raises(InvalidArgumentError, match="integer"):
+        brute_force_spectrum(Polydisc((1.0, 1.0, 1.0)), 1.5, 1.0, cache)
     assert enumerate_modes(P, 1, 1.0, cache) == []
 
 
@@ -189,19 +196,35 @@ def test_brute_force_three_variables(cache):
     lam_max = 4.0
     for q in (1, 2):
         ours = _as_pairs(enumerate_modes(P, q, lam_max, cache))
-        m_bound, j_bound = sufficient_bounds(P, lam_max, cache)
-        oracle = sorted(brute_force_spectrum(P, q, lam_max, m_bound, j_bound, cache))
+        oracle = sorted(brute_force_spectrum(P, q, lam_max, cache))
         assert ours == oracle
 
 
-def test_brute_force_rejects_insufficient_bounds(cache):
-    P = Polydisc((1.0, 1.0))
-    with pytest.raises(OracleInsufficientError):
-        brute_force_spectrum(P, 1, 10.0, 1, 4, cache)
-    with pytest.raises(OracleInsufficientError):
-        brute_force_spectrum(P, 1, 10.0, 8, 1, cache)
-    with pytest.raises(InvalidArgumentError):
-        brute_force_spectrum(Polydisc((1.0, 1.0, 1.0, 1.0)), 1, 2.0, 8, 4, cache)
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_brute_force_four_variables(cache, q):
+    # one summation loop for every n: exact agreement, pair for pair
+    P = Polydisc((1.0, 1.2, 1.5, 2.0))
+    ours = _as_pairs(enumerate_modes(P, q, 3.0, cache))
+    assert ours and ours == sorted(brute_force_spectrum(P, q, 3.0, cache))
+
+
+def test_brute_force_rejects_insufficient_bounds(cache, monkeypatch):
+    # planted fault: bounds that exclude a contribution below 4 * lambda_max
+    for bounds in ((1, 4), (8, 1)):
+        monkeypatch.setattr(verify, "sufficient_bounds", lambda P, lam, cache: bounds)
+        with pytest.raises(OracleInsufficientError):
+            brute_force_spectrum(Polydisc((1.0, 1.0)), 1, 10.0, cache)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_oracle_refuses_non_finite_cutoffs_and_radii(cache, lam):
+    P = Polydisc((1.0, 1.5))
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        sufficient_bounds(P, lam, cache)
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        brute_force_spectrum(P, 1, lam, cache)
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        Polydisc((1.0, lam))  # so no oracle sees a non-finite radius
 
 
 def test_sufficient_bounds_are_sufficient(cache):

@@ -1,6 +1,7 @@
 """Certified Bessel zeros: brackets, interlacing, accuracy, cache behavior."""
 
 import hashlib
+import inspect
 import math
 import threading
 from fractions import Fraction
@@ -227,6 +228,13 @@ def test_warm_cache_refuses_what_a_cold_cache_refuses(m, j):
         with pytest.raises(InvalidArgumentError, match="must be integers"):
             lookup(m, j)
     assert cache.zero(np.int64(2), np.int64(1)) == cache.zero(2, 1)
+
+
+def test_the_enclosure_width_is_fixed():
+    # another width would give other last bits for some zeros
+    assert not inspect.signature(ZeroCache).parameters
+    with pytest.raises(TypeError):
+        ZeroCache(width_tol=1e-3)
 
 
 def test_bracket_failure_aborts(monkeypatch):
