@@ -31,6 +31,9 @@ cheaper from `bessel_j`.
 
 A slow arbitrary-precision series (`oracle_bessel_j`, mpmath-backed) is
 provided as independent ground truth for the test suite.
+
+Only `bessel_j_many` and its lane kernels use numpy, and they import it
+when called, so the scalar kernels and the zero fill load no numpy.
 """
 
 from __future__ import annotations
@@ -40,12 +43,11 @@ import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .errors import InternalConsistencyError, InvalidArgumentError, UnsupportedRangeError
 
 if TYPE_CHECKING:
     import mpmath as mp
+    import numpy as np
 
 __all__ = [
     "MAX_ORDER",
@@ -255,6 +257,8 @@ def _series_lanes(m: np.ndarray, z: np.ndarray) -> np.ndarray:
     lanes are carried along until they make up half of the working arrays,
     which are then compacted.
     """
+    import numpy as np
+
     out = np.zeros_like(z)
     if not z.size:
         return out
@@ -312,6 +316,8 @@ def _miller_lanes(m: np.ndarray, z: np.ndarray) -> np.ndarray:
     cost nothing.  Each lane takes the steps of `_miller_pass`, with no
     rescale, and a lane that overflows fails the normalization check.
     """
+    import numpy as np
+
     out = np.empty_like(z)
     if not z.size:
         return out
@@ -370,6 +376,8 @@ def bessel_j_many(m, z) -> np.ndarray:
     profiles.  A call pays for a loop over series terms and recurrence
     orders whatever its size, so a few values are cheaper from `bessel_j`.
     """
+    import numpy as np
+
     zs = np.asarray(z)
     if zs.dtype.kind not in "biuf" and not all(isinstance(x, numbers.Real) for x in zs.flat):
         raise InvalidArgumentError(f"arguments must be real numbers, got {zs.dtype} values")

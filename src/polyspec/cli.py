@@ -10,9 +10,18 @@ Subcommands:
 * ``inverse``   expand a sampled coefficient grid and apply the operator
                 or its inverse
 
+Each subcommand imports the modules it uses when it runs, so a run loads
+only what it prints: `zeros` and `bottom` load no numpy, `spectrum` loads
+neither the calculus (`eigenforms`, `spectral_ops`) nor the oracles, and
+only `oracle fd` loads scipy.linalg.  Flag parsing imports nothing: the
+`--suite` and `--bc` choices are written out.
+
 Output is deterministic byte for byte for identical flags: floats are
 serialized with 17 significant digits (lossless for doubles), orderings
-are canonical, and JSON is emitted by a fixed-layout writer.  Exit codes:
+are canonical, and JSON is emitted by a fixed-layout writer.  `spectrum`
+writes its points straight from the class table's arrays, a batch at a
+time, and JSON witnesses from its index chunks, with the text of each
+factor label, J and value made once; it makes no `EigenMode`.  Exit codes:
 0 success, 2 flag/usage errors, 3 domain/range errors, 1 failed
 verification.
 """
@@ -20,6 +29,7 @@ verification.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 
@@ -30,12 +40,6 @@ from .errors import (
     PolyspecError,
     UnsupportedRangeError,
 )
-from .gridfile import read_grid
-from .selfcheck import SUITES, run_suites
-from .spectral_ops import apply_box, apply_inverse, expand_from_samples
-from .spectrum import EigenMode, Polydisc, SpectralPoint, assemble_spectrum, bottom
-from .verify import BoundaryCondition, FdConfig, fd_radial_eigs
-from .zeros import ZeroCache
 
 SCHEMA_VERSION = "2"
 
@@ -54,6 +58,10 @@ def _fmt_float(v: float) -> str:
     if math.isnan(v) or math.isinf(v):
         raise InvalidArgumentError("non-finite value in output")
     return format(float(v), ".17g")
+
+
+class _Text(str):
+    """A value's JSON text, laid out beforehand; `_json` writes it as it is."""
 
 
 def _json(value, indent: int = 0) -> str:
@@ -78,6 +86,8 @@ def _json(value, indent: int = 0) -> str:
         return str(value)
     if isinstance(value, float):
         return _fmt_float(value)
+    if isinstance(value, _Text):
+        return value
     if isinstance(value, str):
         escaped = value.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{escaped}"'
@@ -94,37 +104,35 @@ def _factor_record(f) -> dict:
     }
 
 
-def _mode_record(m: EigenMode) -> dict:
-    return {
-        "J": list(m.J),
-        "value": m.value,
-        "family": m.family,
-        "infinite_family": m.has_holomorphic,
-        "factors": [_factor_record(f) for f in m.factors],
-    }
+def _mode_text(indent: int, J: str, value: str, family: str, infinite: bool, factors) -> str:
+    """One mode record as `_json` lays it out at `indent`, from the texts
+    of its J (made at indent + 1), its value and its factor records (made
+    at indent + 2), so a caller can make each of them once."""
+    pad = "  " * indent
+    items = f",\n{pad}    ".join(factors)
+    return (
+        f'{{\n{pad}  "J": {J},\n{pad}  "value": {value},\n{pad}  "family": "{family}",\n'
+        f'{pad}  "infinite_family": {"true" if infinite else "false"},\n'
+        f'{pad}  "factors": [\n{pad}    {items}\n{pad}  ]\n{pad}}}'
+    )
 
 
-def _point_record(p: SpectralPoint) -> dict:
-    return {
-        "value": p.value,
-        "finite_multiplicity": p.finite_multiplicity,
-        "infinite": p.infinite,
-        "families": list(p.families),
-        "witnesses": [_mode_record(m) for m in p.witnesses],
-    }
+def _eigenmode_text(m, indent: int) -> str:
+    """The mode record of an `EigenMode` at `indent`."""
+    factors = [_json(_factor_record(f), indent + 2) for f in m.factors]
+    J = _json(list(m.J), indent + 1)
+    return _mode_text(indent, J, _fmt_float(m.value), m.family, m.has_holomorphic, factors)
 
 
-def _spectrum_record(P: Polydisc, q: int, args, points: list[SpectralPoint]) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "request": {
-            "radii": list(P.radii),
-            "q": q,
-            "max_lambda": args.max,
-            "witnesses": args.witnesses,
-        },
-        "points": [_point_record(p) for p in points],
-    }
+# points per write when a spectrum is written from its class table
+_POINTS = 4096
+
+
+def _point_rows(table, points, lo: int, hi: int):
+    """Points lo..hi - 1 of `table` as (value text, finite multiplicity,
+    infinite flag, family bits), from `table.points()`."""
+    starts, *rest = (a[lo:hi] for a in points)
+    return zip(map(_fmt_float, table.value[starts].tolist()), *(a.tolist() for a in rest))
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +154,8 @@ def _parse_radii(parser: argparse.ArgumentParser, text: str) -> tuple[float, ...
 # ---------------------------------------------------------------------------
 
 def _cmd_zeros(args, out) -> int:
+    from .zeros import ZeroCache
+
     cache = ZeroCache()
     values = [cache.zero(args.order, j) for j in range(1, args.count + 1)]
     if args.format == "json":
@@ -161,38 +171,110 @@ def _cmd_zeros(args, out) -> int:
 
 
 def _cmd_spectrum(args, out) -> int:
+    from .polydisc import Polydisc
+    from .spectrum import _FAMILIES, _class_table
+    from .zeros import ZeroCache
+
     P = Polydisc(args.radii)
     if args.witnesses < 0:
         raise InvalidArgumentError(f"--witnesses must be >= 0, got {args.witnesses}")
-    # only json prints witnesses; csv and table need none built
-    cap = args.witnesses if args.format == "json" else 0
-    points = assemble_spectrum(P, args.q, args.max, cache=ZeroCache(), witness_cap=cap)
+    table = _class_table(P, args.q, args.max, ZeroCache())
+    points = table.points() if len(table) else ()
     if args.format == "json":
-        out.write(_json(_spectrum_record(P, args.q, args, points)) + "\n")
-    elif args.format == "csv":
+        _write_spectrum_json(out, P, args, table, points)
+        return EXIT_OK
+    # csv and table print no witnesses, so none is found
+    if args.format == "csv":
         out.write("value,finite_multiplicity,infinite,family\n")
-        for p in points:
-            fam = "+".join(p.families)
-            out.write(
-                f"{_fmt_float(p.value)},{p.finite_multiplicity},"
-                f"{'true' if p.infinite else 'false'},{fam}\n"
-            )
     else:
         out.write(f"spectrum on radii {list(P.radii)}, q={args.q}, cutoff {args.max}\n")
-        for p in points:
-            mult = "inf" if p.infinite else str(p.finite_multiplicity)
-            extra = f" (+{p.finite_multiplicity} finite)" if p.infinite and p.finite_multiplicity else ""
-            out.write(
-                f"  {_fmt_float(p.value):<24} multiplicity {mult}{extra}  "
-                f"[{'+'.join(p.families)}]\n"
-            )
+    for lo in range(0, len(points[0]) if points else 0, _POINTS):
+        text = []
+        for value, finite, infinite, bits in _point_rows(table, points, lo, lo + _POINTS):
+            families = "+".join(_FAMILIES[bits])
+            if args.format == "csv":
+                text.append(f"{value},{finite},{'true' if infinite else 'false'},{families}\n")
+            else:
+                mult = "inf" if infinite else str(finite)
+                extra = f" (+{finite} finite)" if infinite and finite else ""
+                text.append(f"  {value:<24} multiplicity {mult}{extra}  [{families}]\n")
+        out.write("".join(text))
     return EXIT_OK
 
 
+def _write_spectrum_json(out, P, args, table, points) -> None:
+    """The spectrum record as `_json` would lay it out, written straight
+    from the class table: the points a batch at a time, each as soon as
+    the witness chunks hold its last witness.  The text of each label, J
+    and value is made once, and no `EigenMode` is made."""
+    from .spectrum import _FAMILIES
+
+    # every label is made, and checked, before anything is written
+    factor = table.labels.factor if points and args.witnesses else None
+    request = {
+        "radii": list(P.radii),
+        "q": args.q,
+        "max_lambda": args.max,
+        "witnesses": args.witnesses,
+    }
+    head = _json({"schema_version": SCHEMA_VERSION, "request": request})
+    out.write(head[: -len("\n}")] + ',\n  "points": ')  # left open for the points
+    if not points:
+        out.write("[]\n}\n")
+        return
+    families = {bits: _json(list(names), 3) for bits, names in _FAMILIES.items()}
+    # a witness is a mode record at indent 4, in its point's list at indent 3
+    J_text = [_json(list(J), 5) for J in table.J_list]
+    label_text: dict[int, str] = {}
+
+    def witnesses(chunk) -> list[str]:
+        for i in set(chunk.ids.ravel().tolist()) - label_text.keys():
+            label_text[i] = _json(_factor_record(factor[i]), 6)
+        values = map(_fmt_float, chunk.value.tolist())
+        return [
+            _mode_text(4, J_text[J], value, _FAMILIES[bits][0], bits != 4, factors)
+            for J, value, bits, factors in zip(
+                chunk.J.tolist(),
+                itertools.chain.from_iterable(map(itertools.repeat, values, chunk.take.tolist())),
+                table.families(chunk.ids).tolist(),
+                zip(*(map(label_text.__getitem__, row) for row in chunk.ids.tolist())),
+            )
+        ]
+
+    ends, chunks = table.expand(points[0], args.witnesses)
+    pending: list[str] = []  # witness texts not yet written, of modes base, base + 1, ...
+    base = written = 0
+    out.write("[\n")
+    for chunk in itertools.chain(chunks, [None]):
+        if chunk is None:
+            ready = len(ends)
+        else:
+            pending += witnesses(chunk)
+            ready = int(ends.searchsorted(base + len(pending), "right"))
+        for lo in range(written, ready, _POINTS):
+            text = []
+            rows = _point_rows(table, points, lo, min(lo + _POINTS, ready))
+            for p, (value, finite, infinite, bits) in enumerate(rows, start=lo):
+                w = pending[(ends[p - 1] if p else 0) - base : ends[p] - base]
+                w = "[\n        " + ",\n        ".join(w) + "\n      ]" if w else "[]"
+                text.append(
+                    f'    {{\n      "value": {value},\n      "finite_multiplicity": {finite},\n'
+                    f'      "infinite": {"true" if infinite else "false"},\n'
+                    f'      "families": {families[bits]},\n      "witnesses": {w}\n    }}'
+                )
+            out.write((",\n" if lo else "") + ",\n".join(text))
+        if ready > written:
+            del pending[: ends[ready - 1] - base]
+            base, written = int(ends[ready - 1]), ready
+    out.write("\n  ]\n}\n")
+
+
 def _cmd_bottom(args, out) -> int:
+    from .polydisc import Polydisc, bottom
+    from .zeros import ZeroCache
+
     P = Polydisc(args.radii)
-    cache = ZeroCache()
-    value, J = bottom(P, args.q, cache)
+    value, J = bottom(P, args.q, ZeroCache())
     if args.format == "json":
         out.write(_json({"value": value, "J": list(J)}) + "\n")
     else:
@@ -201,6 +283,8 @@ def _cmd_bottom(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
+    from .selfcheck import SUITES, run_suites
+
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     reports = run_suites(names, seed=args.seed)
     record = {
@@ -230,6 +314,8 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_oracle(args, out) -> int:
+    from .verify import BoundaryCondition, FdConfig, fd_radial_eigs
+
     bc = BoundaryCondition(args.bc)
     cfg = FdConfig(args.grid, args.radius, args.order, bc)
     values = fd_radial_eigs(cfg, args.count)
@@ -251,6 +337,11 @@ def _cmd_oracle(args, out) -> int:
 
 
 def _cmd_inverse(args, out) -> int:
+    from .gridfile import read_grid
+    from .polydisc import Polydisc
+    from .spectral_ops import apply_box, apply_inverse, expand_from_samples
+    from .zeros import ZeroCache
+
     n, q, counts, samples = read_grid(args.input)
     P = Polydisc(args.radii)
     if n != P.n:
@@ -287,11 +378,7 @@ def _cmd_inverse(args, out) -> int:
         "J": list(x.J),
         "truncation_lambda": x.truncation_lambda,
         "terms": [
-            {
-                "mode": _mode_record(m),
-                "coeff_re": c.real,
-                "coeff_im": c.imag,
-            }
+            {"mode": _Text(_eigenmode_text(m, 3)), "coeff_re": c.real, "coeff_im": c.imag}
             for m, c in x.terms
         ],
     }
@@ -346,7 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run built-in verification suites")
     p.add_argument(
         "--suite",
-        choices=sorted(SUITES) + ["all"],
+        # selfcheck.SUITES, written out so that parsing flags imports no suite
+        choices=("bessel", "fd", "forms", "modes", "spectrum-oracle", "zeros", "all"),
         default="all",
         help="suite to run (default: %(default)s)",
     )
@@ -361,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--order", type=int, required=True, help="angular order m (signed)")
     pf.add_argument(
         "--bc",
-        choices=[bc.value for bc in BoundaryCondition],
+        choices=("dirichlet", "dbar-neumann"),  # verify.BoundaryCondition's values
         required=True,
         help="outer boundary condition",
     )

@@ -35,6 +35,7 @@ import numpy as np
 
 from .bessel import bessel_j, bessel_j_prime
 from .errors import InternalConsistencyError, InvalidArgumentError
+from .polydisc import check_radius
 from .zeros import ZeroCache
 
 __all__ = [
@@ -94,11 +95,13 @@ class ModeFactor:
 
 
 def dirichlet_factor(m: int, j: int, a: float, cache: ZeroCache) -> ModeFactor:
+    a = check_radius(a)
     lam = (cache.zero(abs(m), j) / a) ** 2
     return ModeFactor(FactorKind.DIRICHLET, m, j, a, lam)
 
 
 def neumann_factor(m: int, j: int, a: float, cache: ZeroCache) -> ModeFactor:
+    a = check_radius(a)
     lam = (cache.zero(abs(m + 1), j) / a) ** 2
     return ModeFactor(FactorKind.NEUMANN_POSITIVE, m, j, a, lam)
 
@@ -117,9 +120,11 @@ def zero_table(
     lambda_{nu,1} growing strictly with nu (interlacing).  Two equal lam are
     refused (InternalConsistencyError): no two positive zeros of J_nu and
     J_{nu+k} coincide (Bourget's hypothesis, proved by Siegel; Watson 15.28).
+    A radius outside `polydisc.check_radius`'s range, where some lam would
+    leave the normal doubles, raises UnsupportedRangeError, as it does in
+    `dirichlet_factor` and `neumann_factor`.
     """
-    if not (a > 0.0) or not math.isfinite(a):
-        raise InvalidArgumentError(f"radius must be positive and finite, got {a!r}")
+    a = check_radius(a)
     if not math.isfinite(lambda_max):
         raise InvalidArgumentError(f"cutoff must be finite, got {lambda_max!r}")
     lams: list[float] = []

@@ -40,24 +40,34 @@ def write_grid(path: str, n: int, q: int, counts: list[tuple[int, int]], samples
 
     `counts` holds (radial, angular) node counts per variable and must match
     the sample array shape (radial and angular axes interleaved).  n >= 1,
-    q and the counts must be integers that fit a u32; everything is checked
-    before the file is opened.  A C-contiguous complex128 array is written
-    as it lies, without a copy.
+    q and the counts must be integers that fit a u32, each variable's counts
+    a pair, and the samples numbers; everything is checked before the file
+    is opened.  A C-contiguous complex128 array is written as it lies,
+    without a copy.
     """
     _check_u32("n", n)
     _check_u32("q", q)
     if n == 0:
         raise InvalidArgumentError("a grid needs at least one variable, got n = 0")
-    if len(counts) != n:
-        raise InvalidArgumentError(f"expected {n} per-variable node counts, got {len(counts)}")
-    shape = tuple(c for pair in counts for c in pair)
+    try:
+        pairs = [tuple(pair) for pair in counts]
+    except TypeError:  # counts, or one of its entries, is not iterable
+        pairs = [()]
+    if not all(len(pair) == 2 for pair in pairs):
+        raise InvalidArgumentError(f"node counts must be (radial, angular) pairs, got {counts!r}")
+    if len(pairs) != n:
+        raise InvalidArgumentError(f"expected {n} per-variable node counts, got {len(pairs)}")
+    shape = tuple(c for pair in pairs for c in pair)
     for c in shape:
         _check_u32("node count", c)
-    arr = np.ascontiguousarray(samples, dtype="<c16")
+    try:
+        arr = np.ascontiguousarray(samples, dtype="<c16")
+    except (TypeError, ValueError):
+        raise InvalidArgumentError("samples must be an array of complex numbers") from None
     if arr.shape != shape:
         raise InvalidArgumentError(f"sample shape {arr.shape} does not match counts {shape}")
     header = struct.pack("<4sIII", GRID_MAGIC, GRID_VERSION, n, q)
-    header += b"".join(struct.pack("<II", r, t) for r, t in counts)
+    header += b"".join(struct.pack("<II", r, t) for r, t in pairs)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(arr.data)

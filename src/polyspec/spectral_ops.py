@@ -53,6 +53,7 @@ from .bessel import bessel_j, bessel_j_many
 from .disc_modes import FactorKind, ModeFactor, _profile_order, holomorphic_factor
 from .eigenforms import FormPoint, _coefficient, _factor_value
 from .errors import InvalidArgumentError, InvariantViolationError
+from .quadrature import _check_count, _gauss_legendre
 from .spectrum import EigenMode, Polydisc, enumerate_modes
 from .zeros import ZeroCache
 
@@ -90,26 +91,6 @@ class Expansion:
                 raise InvalidArgumentError("all expansion modes must share the tuple J")
             if mode.value > self.truncation_lambda * (1.0 + 1e-12):
                 raise InvalidArgumentError("expansion mode above its truncation")
-
-
-@functools.lru_cache(maxsize=16)
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per n.
-
-    The arrays are shared between callers, hence read-only.
-    """
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
-
-
-def _check_count(what: str, n, least: int) -> None:
-    """Refuse a quadrature node count that is not an integer >= least."""
-    if not isinstance(n, numbers.Integral) or n < least:
-        raise InvalidArgumentError(
-            f"{what} quadrature node count must be an integer >= {least}, got {n!r}"
-        )
 
 
 def radial_quadrature(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -28,11 +28,17 @@ has the bits of the mode-by-mode sum.  Classes sorted by value form points
 by exact key; a class is infinite iff |S| < n, and point counts come from
 the class weights.
 
-`EigenMode` objects are made only where modes are asked for, a point's
-witnesses and `enumerate_modes`: numpy finds their J and labels by index
-arithmetic on the class weights (`_ClassTable.expand`), each label is made
-and kind-checked once, and the modes are made in C-level batches with no
-Python frame per mode.  Every mode list is in `mode_sort_key` order.
+Modes are index arrays until an object is asked for: numpy finds each
+mode's J rank and factor label ids by index arithmetic on the class
+weights, and `_ClassTable.expand` yields them one chunk of whole blocks at
+a time.  `assemble_spectrum` and `enumerate_modes` make `EigenMode` objects
+from the chunks in C-level batches, with no Python frame per mode, and
+each label is made and kind-checked once; the CLI writes text from the
+same chunks and makes no object.  Every mode list is in `mode_sort_key`
+order.
+
+`Polydisc` and the closed-form `bottom` live in the numpy-free `polydisc`
+module and are re-exported here.
 """
 
 from __future__ import annotations
@@ -43,13 +49,15 @@ import functools
 import itertools
 import math
 import numbers
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .disc_modes import FactorKind, FactorTable, ModeFactor, disc_table
-from .errors import InvalidArgumentError, UnsupportedRangeError
+from .errors import InvalidArgumentError
+from .polydisc import Polydisc, _validate_q, bottom
 from .zeros import ZeroCache
 
 __all__ = [
@@ -85,25 +93,6 @@ _FAMILIES = {
     )
     for bits in range(1, 8)
 }
-
-
-@dataclass(frozen=True)
-class Polydisc:
-    """The polydisc P(a_1, ..., a_n) = {|z_k| < a_k}, n >= 2."""
-
-    radii: tuple[float, ...]
-
-    def __init__(self, radii) -> None:
-        object.__setattr__(self, "radii", tuple(float(a) for a in radii))
-        if len(self.radii) < 2:
-            raise InvalidArgumentError("a polydisc needs at least two radii")
-        for a in self.radii:
-            if not (a > 0.0) or not math.isfinite(a):
-                raise InvalidArgumentError(f"radii must be positive and finite, got {a}")
-
-    @property
-    def n(self) -> int:
-        return len(self.radii)
 
 
 _DIRICHLET = FactorKind.DIRICHLET
@@ -200,19 +189,6 @@ def mode_descriptor(mode: EigenMode) -> tuple:
     )
 
 
-def _validate_q(n: int, q: int, lambda_max: float = 0.0) -> int:
-    """q as an int, after the checks on q and lambda_max."""
-    if not isinstance(q, numbers.Integral):
-        raise InvalidArgumentError(f"q must be an integer, got {q!r}")
-    if not (1 <= q <= n - 1):
-        raise InvalidArgumentError(f"q = {q!r} out of range: need 1 <= q <= n - 1 = {n - 1}")
-    if not math.isfinite(lambda_max):
-        raise InvalidArgumentError("lambda_max must be finite")
-    if not math.isfinite(4.0 * lambda_max):  # the factor tables' budget
-        raise UnsupportedRangeError(f"lambda_max = {lambda_max!r} is beyond the zero window")
-    return int(q)
-
-
 class _Labels(NamedTuple):
     """A class table's factor labels, by id.  Variable k lays its table out
     as the slots of `FactorTable.labels`, [holomorphic, rows in J, rows off
@@ -225,6 +201,18 @@ class _Labels(NamedTuple):
     size: np.ndarray  # rows of each variable's table
     rank: np.ndarray  # place in factor-key order among the labels
     factor: np.ndarray  # object: the ModeFactor; None past a slot's labels
+
+
+class _Chunk(NamedTuple):
+    """Consecutive modes of `_ClassTable.expand`, as index arrays.  Block b
+    (a run of classes with equal value bits) gives take[b] modes of value
+    value[b]; mode i takes the J of rank J[i] in `_ClassTable.J_list`, and
+    the label ids[k, i] (see `_Labels`) on variable k + 1."""
+
+    value: np.ndarray
+    take: np.ndarray
+    J: np.ndarray
+    ids: np.ndarray
 
 
 class _ClassTable:
@@ -290,8 +278,9 @@ class _ClassTable:
         order = keep[np.argsort(value[keep], kind="stable")]
         self.value, self.rows, self.paired = value[order], rows[:, order], paired[:, order]
         self.weight, self.J_first = weight[order], J_first[order]
-        # per entry of Js: the J's lexicographic rank, and which variables it holds
-        rank = {J: r for r, J in enumerate(sorted(set(self.Js)))}
+        # per entry of Js: its rank in the ascending J_list, and which variables it holds
+        self.J_list = sorted(set(self.Js))
+        rank = {J: r for r, J in enumerate(self.J_list)}
         self.J_rank = np.array([rank[J] for J in self.Js], dtype=np.int64)
         self.J_member = (np.array(self.Js)[None] == np.arange(1, n + 1)[:, None, None]).any(axis=2)
 
@@ -322,16 +311,18 @@ class _ClassTable:
         flag = np.logical_or.reduceat(infinite, starts)
         return starts, finite, flag, np.bitwise_or.reduceat(family, starts)
 
-    def expand(self, starts, cap: int) -> tuple[list[EigenMode], list[int]]:
-        """The first `cap` modes of each run of classes, in one flat list.
+    def expand(self, starts, cap: int) -> tuple[np.ndarray, Iterator[_Chunk]]:
+        """The first `cap` modes of each run of classes, as index arrays.
 
         A run goes from one entry of `starts` (ascending, from 0) to the
-        next, and its modes come in `mode_sort_key` order.  Returns the list
-        and the end of each run's modes in it.
+        next, and its modes come in `mode_sort_key` order.  Returns the end
+        of each run's modes in the modes of all chunks, and an iterator over
+        the chunks: whole blocks, at most `_CHUNK` candidates each unless
+        one block has more, made one at a time as they are asked for.
         """
         cap = min(cap, int(self.weight.sum()))
         if cap <= 0:
-            return [], [0] * len(starts)
+            return np.zeros(len(starts), dtype=np.int64), iter(())
         n_classes = len(self)
         v = self.value
         # a block is a run of classes with equal value bits
@@ -345,7 +336,7 @@ class _ClassTable:
         first = np.searchsorted(block, starts)  # the first block of each run
         before = done - np.repeat(done[first], np.diff(np.append(first, len(block))))
         take = np.clip(cap - before, 0, size)
-        ends = np.cumsum(np.add.reduceat(take, first)).tolist()
+        ends = np.cumsum(np.add.reduceat(take, first))
         kept = take > 0
         cls = np.flatnonzero(np.repeat(kept, length))
         block, length, take = block[kept], length[kept], take[kept]
@@ -368,10 +359,12 @@ class _ClassTable:
             below = run[np.searchsorted(key, key)] - run[np.searchsorted(key, key // R * R)]
             reached = np.bincount(pair[below < take[key // R]], minlength=len(cls))
             count = np.where(n_J > 0, np.minimum(count, unit * reached), count)
+        return ends, self._chunks(block, length, take, cls, count)
+
+    def _chunks(self, block, length, take, cls, count) -> Iterator[_Chunk]:
         class_end = np.cumsum(length)
         cand = np.add.reduceat(count, class_end - length)  # candidates per block
         cand_end = np.cumsum(cand)
-        out: list[EigenMode] = []
         lo = 0
         while lo < len(block):
             # whole blocks, at most _CHUNK candidates unless one block has more
@@ -379,15 +372,16 @@ class _ClassTable:
             hi = max(lo + 1, int(np.searchsorted(cand_end, room, "right")))
             c = slice(class_end[lo] - length[lo], class_end[hi - 1])
             b = slice(lo, hi)
-            out += self._block_modes(block[b], length[b], take[b], cls[c], count[c])
+            J, ids = self._block_modes(block[b], length[b], take[b], cls[c], count[c])
+            yield _Chunk(self.value[block[b]], take[b], J, ids)
             lo = hi
-        return out, ends
 
-    def _block_modes(self, block, length, take, cls, count) -> list[EigenMode]:
+    def _block_modes(self, block, length, take, cls, count) -> tuple[np.ndarray, np.ndarray]:
         """The first take[b] modes, in (J, factor key) order, of each block b:
         the length[b] classes from class block[b], whose entries in `cls`
-        give their first `count` modes as candidates."""
-        lab = self._labels
+        give their first `count` modes as candidates.  Returns each mode's
+        J rank and its label ids, as `_Chunk` holds them."""
+        lab = self.labels
         x = self.rows[:, cls]
         base = lab.offset[:, None] + 2 * x  # each slot's holomorphic or Dirichlet label
         osc = self.paired[:, cls]
@@ -414,20 +408,36 @@ class _ClassTable:
             position = np.arange(len(owner)) - np.repeat(np.cumsum(cand) - cand, cand)
             cut = position < np.repeat(take, cand)
             ids, J = ids[:, cut], J[cut]
+        return self.J_rank[J], ids
+
+    def chunk_modes(self, chunk: _Chunk) -> list[EigenMode]:
+        """The chunk's modes as `EigenMode` objects, made in C-level batches."""
         return _batch(
             EigenMode,
-            ids.shape[1],
-            map(self.Js.__getitem__, J.tolist()),
-            zip(*lab.factor[ids].tolist()),
-            itertools.chain.from_iterable(map(itertools.repeat, self.value[block].tolist(), take)),
+            len(chunk.J),
+            map(self.J_list.__getitem__, chunk.J.tolist()),
+            zip(*self.labels.factor[chunk.ids].tolist()),
+            itertools.chain.from_iterable(
+                map(itertools.repeat, chunk.value.tolist(), chunk.take.tolist())
+            ),
         )
+
+    def families(self, ids: np.ndarray) -> np.ndarray:
+        """The family bits (1 mixed, 2 pure-holomorphic, 4 pure-neumann) of
+        modes given by their label ids, one column per mode."""
+        lab = self.labels
+        slot = (ids - lab.offset[:, None]) >> 1
+        holomorphic = (slot == 0).any(axis=0)
+        neumann = (slot > lab.size[:, None]).any(axis=0)
+        return np.where(neumann, np.where(holomorphic, 1, 4), np.where(holomorphic, 2, 1))
 
     def modes(self) -> list[EigenMode]:
         """Every mode of the table, in `mode_sort_key` order."""
-        return self.expand([0], int(self.weight.sum()))[0]
+        _, chunks = self.expand([0], int(self.weight.sum()))
+        return list(itertools.chain.from_iterable(map(self.chunk_modes, chunks)))
 
     @functools.cached_property
-    def _labels(self) -> _Labels:
+    def labels(self) -> _Labels:
         """Every label of the tables, each checked once: a slot in J must
         hold Dirichlet factors, the holomorphic and off-J slots must not."""
         size = np.array([len(t.lam) for t in self.tables])
@@ -498,7 +508,9 @@ def assemble_spectrum(
     if not len(table):
         return []
     starts, finite, infinite, family_bits = table.points()
-    witnesses, ends = table.expand(starts, witness_cap)
+    ends, chunks = table.expand(starts, witness_cap)
+    witnesses = list(itertools.chain.from_iterable(map(table.chunk_modes, chunks)))
+    ends = ends.tolist()
     return _batch(
         SpectralPoint,
         len(starts),
@@ -508,23 +520,6 @@ def assemble_spectrum(
         map(tuple, map(witnesses.__getitem__, map(slice, [0] + ends[:-1], ends))),
         map(_FAMILIES.__getitem__, family_bits.tolist()),
     )
-
-
-def bottom(P: Polydisc, q: int, cache: ZeroCache) -> tuple[float, tuple[int, ...]]:
-    """Closed-form bottom of the spectrum and its minimizing tuple J.
-
-    bottom = (lambda_{0,1}^2 / 4) * min over |J| = q of sum_{k in J} a_k^-2,
-    always attained by an infinite family (Dirichlet ground factors on J,
-    holomorphic factors elsewhere).  J is the q largest radii, read off one
-    stable sort of the terms a_k^-2 in O(n log n) with no tuple search; equal
-    terms go to the lower index, so J is the lexicographically first
-    minimizer.  The value sums J's terms in index order.
-    """
-    q = _validate_q(P.n, q)
-    z01 = cache.zero(0, 1)
-    terms = [1.0 / a**2 for a in P.radii]
-    J = sorted(sorted(range(P.n), key=terms.__getitem__)[:q])
-    return 0.25 * z01 * z01 * sum(terms[k] for k in J), tuple(k + 1 for k in J)
 
 
 def counting(

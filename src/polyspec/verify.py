@@ -38,8 +38,8 @@ from .errors import (
     OracleInsufficientError,
     UnsupportedRangeError,
 )
-from .spectral_ops import _check_count, _gauss_legendre
-from .spectrum import Polydisc
+from .polydisc import Polydisc
+from .quadrature import _check_count, _gauss_legendre
 from .zeros import ZeroCache
 
 __all__ = [

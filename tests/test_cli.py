@@ -1,5 +1,6 @@
 """CLI surface: formats, exit codes, determinism, schema conformance."""
 
+import argparse
 import json
 import math
 import os
@@ -13,7 +14,15 @@ import numpy as np
 import pytest
 
 import polyspec
-from polyspec import Polydisc, ZeroCache, cli, dirichlet_factor, selfcheck
+from polyspec import (
+    BoundaryCondition,
+    Polydisc,
+    ZeroCache,
+    cli,
+    dirichlet_factor,
+    selfcheck,
+    spectrum,
+)
 from polyspec.selfcheck import SUITES
 from polyspec.gridfile import write_grid
 from polyspec.spectral_ops import sample_on_grid
@@ -133,35 +142,170 @@ def test_negative_witness_cap_exits_3():
 
 def test_only_json_builds_witnesses(monkeypatch, capsys):
     caps = []
+    expand = spectrum._ClassTable.expand
 
-    def spy(*args, witness_cap, **kwargs):
-        caps.append(witness_cap)
-        return polyspec.assemble_spectrum(*args, witness_cap=witness_cap, **kwargs)
+    def spy(self, starts, cap):
+        caps.append(cap)
+        return expand(self, starts, cap)
 
-    monkeypatch.setattr(cli, "assemble_spectrum", spy)
+    monkeypatch.setattr(spectrum._ClassTable, "expand", spy)
     argv = ["spectrum", "--radii", "1,1", "--q", "1", "--max", "5.2", "--witnesses", "5"]
     for fmt in ("json", "csv", "table"):
         assert cli.main(argv + ["--format", fmt]) == 0
-    assert caps == [5, 0, 0]
+    assert caps == [5]
     capsys.readouterr()
 
 
-def test_import_leaves_oracle_dependencies_unloaded():
-    # scipy.linalg and mpmath serve only the FD and series oracles
-    res = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import sys, polyspec; "
-            "print(sorted(m for m in ('scipy.linalg', 'mpmath') if m in sys.modules))",
+def _reference_json(radii, q, lam, cap):
+    """The spectrum record laid out by `_json` from `assemble_spectrum`'s objects."""
+    points = polyspec.assemble_spectrum(Polydisc(radii), q, lam, cache=ZeroCache(), witness_cap=cap)
+
+    def mode(m):
+        return {
+            "J": list(m.J),
+            "value": m.value,
+            "family": m.family,
+            "infinite_family": m.has_holomorphic,
+            "factors": [cli._factor_record(f) for f in m.factors],
+        }
+
+    request = {"radii": list(radii), "q": q, "max_lambda": lam, "witnesses": cap}
+    record = {
+        "schema_version": cli.SCHEMA_VERSION,
+        "request": request,
+        "points": [
+            {
+                "value": p.value,
+                "finite_multiplicity": p.finite_multiplicity,
+                "infinite": p.infinite,
+                "families": list(p.families),
+                "witnesses": [mode(m) for m in p.witnesses],
+            }
+            for p in points
         ],
+    }
+    return cli._json(record) + "\n"
+
+
+@pytest.mark.parametrize("chunk,batch", [(1, 1), (7, 3), (8192, 4096)])
+@pytest.mark.parametrize(
+    "radii,q,lam,cap",
+    [
+        ((1.0, 1.0, 1.0), 1, 20.0, 1000),  # points whose witnesses span many chunks
+        ((1.0, 1.5), 1, 10.0, 3),
+        ((1.0, 1.0, 1.3, 2.0), 2, 6.5, 8),
+        ((1.0, 1.3, 2.0), 1, 9.0, 0),
+        ((1.0, 1.5), 1, 0.5, 8),  # no point
+    ],
+)
+def test_json_spectrum_is_the_object_record_at_any_chunk_size(
+    monkeypatch, capsys, radii, q, lam, cap, chunk, batch
+):
+    # the streamed writer against `_json` of the objects, with chunks and
+    # point batches cut between nearly all blocks and points
+    monkeypatch.setattr(spectrum, "_CHUNK", chunk)
+    monkeypatch.setattr(cli, "_POINTS", batch)
+    argv = ["spectrum", "--radii", ",".join(map(repr, radii)), "--q", str(q), "--max", repr(lam)]
+    assert cli.main(argv + ["--witnesses", str(cap)]) == 0
+    assert capsys.readouterr().out == _reference_json(radii, q, lam, cap)
+
+
+def test_json_spectrum_makes_no_eigenmode(monkeypatch, capsys):
+    made = []
+    batch = spectrum._batch
+
+    def spy(cls, *args):
+        made.append(cls)
+        return batch(cls, *args)
+
+    def refuse(self):
+        raise AssertionError("an EigenMode was made")
+
+    monkeypatch.setattr(spectrum, "_batch", spy)
+    monkeypatch.setattr(spectrum.EigenMode, "__post_init__", refuse)
+    argv = ["spectrum", "--radii", "1,1,1", "--q", "1", "--max", "20", "--witnesses", "1000"]
+    for fmt in ("json", "csv", "table"):
+        assert cli.main(argv + ["--format", fmt]) == 0
+        assert capsys.readouterr().out
+    assert made == []
+
+
+def _loaded(*argv):
+    """The modules a child `python <argv>` imports, read from `-X importtime`."""
+    res = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv],
         capture_output=True,
         text=True,
         timeout=300,
         env=ENV,
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[]"
+    lines = [line for line in res.stderr.splitlines() if line.startswith("import time:")]
+    return {line.rsplit("|", 1)[1].strip() for line in lines[1:]}
+
+
+_NUMERICS = {"numpy", "scipy", "mpmath"}
+_CALCULUS_AND_ORACLES = {
+    "polyspec.eigenforms",
+    "polyspec.spectral_ops",
+    "polyspec.gridfile",
+    "polyspec.selfcheck",
+    "polyspec.verify",
+    "scipy.linalg",
+    "mpmath",
+}
+_SPECTRUM = ["-m", "polyspec", "spectrum", "--radii", "1,1.5", "--q", "1", "--max", "10"]
+
+
+@pytest.mark.parametrize(
+    "argv,unloaded",
+    [
+        (["-c", "import polyspec"], _NUMERICS),
+        (["-m", "polyspec", "zeros", "--order", "3", "--count", "5"], _NUMERICS),
+        (["-m", "polyspec", "bottom", "--radii", "1,2,3", "--q", "2"], _NUMERICS),
+        (_SPECTRUM, _CALCULUS_AND_ORACLES),
+        (_SPECTRUM + ["--format", "csv"], _CALCULUS_AND_ORACLES),
+        (["-m", "polyspec", "verify", "--suite", "zeros"], {"scipy.linalg", "mpmath"}),
+    ],
+)
+def test_subcommand_loads_only_what_it_prints(argv, unloaded):
+    loaded = _loaded(*argv)
+    assert "polyspec" in loaded
+    assert not loaded & unloaded
+
+
+def test_oracle_fd_loads_scipy_linalg_and_no_calculus():
+    loaded = _loaded("-m", "polyspec", "oracle", "fd", "--order", "0", "--bc", "dirichlet", "--grid", "200")
+    assert "scipy.linalg" in loaded
+    assert not loaded & {"polyspec.spectral_ops", "polyspec.eigenforms"}
+
+
+def _choices(*path, flag):
+    parser = cli.build_parser()
+    for name in path:
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[name]
+    return list(next(a for a in parser._actions if flag in a.option_strings).choices)
+
+
+def test_written_out_choices_match_their_sources():
+    assert _choices("verify", flag="--suite") == sorted(SUITES) + ["all"]
+    assert _choices("oracle", "fd", flag="--bc") == [bc.value for bc in BoundaryCondition]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        "bottom --radii 1,1e160 --q 1",
+        "bottom --radii 1,1e-200 --q 1",
+        "spectrum --radii 1,1e-160 --q 1 --max 5",
+    ],
+)
+def test_radii_past_the_admissible_range_exit_3(capsys, flags):
+    # these used to die with a bare OverflowError or ZeroDivisionError (exit 1)
+    assert cli.main(flags.split()) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "admissible range [2**-500, 2**500]" in err
 
 
 def test_q_out_of_range_exits_3():

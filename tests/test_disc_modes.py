@@ -1,6 +1,7 @@
 """Per-variable separated modes: factor lists, Robin residuals, profiles."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from polyspec import (
     FdConfig,
     InternalConsistencyError,
     InvalidArgumentError,
+    MAX_ARGUMENT,
     ModeFactor,
+    UnsupportedRangeError,
     dirichlet_factor,
     dirichlet_factors,
     fd_radial_eigs,
@@ -155,6 +158,25 @@ def test_non_finite_cutoffs_and_radii_are_refused(cache, a, lam):
     for table in (zero_table, disc_table, dirichlet_factors, neumann_factors):
         with pytest.raises(InvalidArgumentError, match="finite"):
             table(a, lam, cache)
+
+
+@pytest.mark.parametrize("a", [1e-200, 1e200])
+def test_radii_whose_eigenvalues_leave_the_normal_doubles_are_refused(cache, a):
+    # 1e-200 overflowed (lambda/a)**2; at 1e200 it underflowed to 0.0 and was
+    # refused as an oscillatory factor with lambda_k = 0
+    with pytest.raises(UnsupportedRangeError, match="admissible range"):
+        zero_table(a, 5.0, cache)
+    for factor in (dirichlet_factor, neumann_factor):
+        with pytest.raises(UnsupportedRangeError, match="admissible range"):
+            factor(0, 1, a, cache)
+
+
+def test_the_ends_of_the_admissible_range_give_normal_eigenvalues(cache):
+    # the least eigenvalue at the largest radius, and a bound on the greatest
+    # (a zero at the window's end) at the least radius
+    lam = dirichlet_factor(0, 1, 2.0**500, cache).lambda_k
+    assert sys.float_info.min <= lam < (MAX_ARGUMENT / 2.0**-500) ** 2 <= sys.float_info.max
+    assert dirichlet_factor(0, 1, 2.0**-500, cache).lambda_k < sys.float_info.max
 
 
 def test_zero_table_refuses_coinciding_zeros(cache):

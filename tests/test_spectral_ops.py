@@ -442,6 +442,21 @@ def test_write_grid_refuses_what_a_u32_cannot_hold(tmp_path, n, q, counts):
     assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "counts,samples",
+    [
+        ([(4, 4, 4)], np.zeros((4, 4, 4))),  # an entry that is not a pair
+        ([4], np.zeros(4)),  # an entry that is not a sequence
+        ([(4, 4)], "ab"),  # samples that are not numbers
+    ],
+)
+def test_write_grid_refuses_malformed_counts_and_samples(tmp_path, counts, samples):
+    path = tmp_path / "bad.pspc"
+    with pytest.raises(InvalidArgumentError):
+        write_grid(str(path), 1, 1, counts, samples)
+    assert not path.exists()
+
+
 def test_gridfile_bytes_do_not_depend_on_the_input_layout(tmp_path):
     F = np.random.default_rng(4).normal(size=(8, 4, 8, 6)) + 1j
     header = struct.pack("<4sIIIIIII", b"PSPC", 1, 2, 1, 8, 4, 8, 6)

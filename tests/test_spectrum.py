@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -180,6 +181,37 @@ def test_negative_witness_cap_rejected(cache):
 def test_non_integral_witness_cap_rejected(cache, cap):
     with pytest.raises(InvalidArgumentError):
         assemble_spectrum(Polydisc((1.0, 1.0)), 1, 5.2, cache=cache, witness_cap=cap)
+
+
+@pytest.mark.parametrize("radii", [None, 3.0, (1j, 2.0), ("1", "2"), (1.0, None)])
+def test_non_real_radii_are_refused(radii):
+    with pytest.raises(InvalidArgumentError, match="radi"):
+        Polydisc(radii)
+
+
+@pytest.mark.parametrize("lam", ["5", None, 1j])
+def test_non_real_cutoffs_are_refused(cache, lam):
+    P = Polydisc((1.0, 1.5))
+    with pytest.raises(InvalidArgumentError, match="real number"):
+        enumerate_modes(P, 1, lam, cache)
+    with pytest.raises(InvalidArgumentError, match="real number"):
+        assemble_spectrum(P, 1, lam, cache=cache)
+    with pytest.raises(InvalidArgumentError, match="real number"):
+        counting(P, 1, lam, cache)
+
+
+@pytest.mark.parametrize("a", [1e160, 1e-160, 1e-200, 2.0**500 * 1.5, 2.0**-501, 10**400])
+def test_radii_outside_the_admissible_range_are_refused(a):
+    # a**2, a**-2 or (lambda/a)**2 would overflow, underflow or be subnormal
+    with pytest.raises(UnsupportedRangeError, match=r"\[2\*\*-500, 2\*\*500\]"):
+        Polydisc((1.0, a))
+
+
+def test_bottom_at_the_ends_of_the_admissible_range_is_a_normal_double(cache):
+    for a in (2.0**-500, 2.0**500):
+        value, J = bottom(Polydisc((1.0, a)), 1, cache)
+        assert sys.float_info.min <= value <= sys.float_info.max
+        assert J == ((2,) if a > 1.0 else (1,))
 
 
 def test_numpy_integer_witness_cap_and_keyword_only_options(cache):
