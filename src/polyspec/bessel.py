@@ -21,19 +21,20 @@ three-term recurrences, never from finite differences.
 
 `bessel_j` evaluates one value.  `bessel_j_many` evaluates arrays: one
 order over any array of arguments, or one order per row of a 2-D argument
-array.  It works on flat lanes of (|m|, z), and each lane takes the steps
-of the scalar kernel of its regime (the two series kernels call the same
-double-double primitives, and the two recurrence kernels sum their
-normalization by the same TwoSum), so every value has exactly the bits of
-`bessel_j(m, z)`.  Each regime runs once for all lanes, which is what makes
-a whole stack of radial profiles cheap in one call; a single value is
+array.  It works on flat lanes of (|m|, z), and every value has exactly
+the bits of `bessel_j(m, z)`.  The series regime runs as one loop over all
+its lanes, through the double-double primitives of the scalar series,
+which is what makes a whole stack of radial profiles cheap in one call.
+Each lane above the switch point is the `_miller_j` call that `bessel_j`
+makes, so `_miller_pass` is the one recurrence kernel.  A single value is
 cheaper from `bessel_j`.
 
 A slow arbitrary-precision series (`oracle_bessel_j`, mpmath-backed) is
 provided as independent ground truth for the test suite.
 
-Only `bessel_j_many` and its lane kernels use numpy, and they import it
-when called, so the scalar kernels and the zero fill load no numpy.
+Only `bessel_j_many` and its series lane kernel use numpy, and they
+import it when called, so the scalar kernels and the zero fill load no
+numpy.
 """
 
 from __future__ import annotations
@@ -93,12 +94,6 @@ def _split(a):
     t = _SPLIT * a
     hi = t - (t - a)
     return hi, a - hi
-
-
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
 
 
 def _neg_square(h, hh, hl):
@@ -199,8 +194,10 @@ def _miller_pass(lo: int, hi: int, z: float, start: int) -> list[float]:
     orders, so each value has the bits of a one-order pass from the same
     seed: `_miller_j` when `start` is that order's own seed.  Each turn of
     the loop takes an odd and then an even order, so no step tests parity.
-    The steps are those of `_miller_lanes`, with no rescale: an overflow
-    leaves a normalization that is not finite, which is refused.
+    The normalization is summed with TwoSum compensation, and no step
+    rescales: an overflow leaves a normalization that is not finite, which
+    is refused.  `bessel_j`, `bessel_j_many` and the derivative helper all
+    reach the recurrence regime through this one kernel.
     """
     fkp1 = 0.0
     fk = 1e-30
@@ -242,11 +239,11 @@ def _miller_j(m: int, z: float) -> float:
     return _miller_pass(m, m, z, _miller_start(m, z))[0]
 
 
-# Lane kernels.  `bessel_j_many` runs flat lanes of (|m|, z), and each lane
-# takes the steps of the scalar kernel of its regime, so it has the bits of
-# `bessel_j(m, z)`.  The series kernels call the same double-double
-# primitives, which are elementwise on numpy arrays too (numpy rounds once
-# per operation, which is all Dekker arithmetic needs).
+# The series lane kernel.  `bessel_j_many` runs flat lanes of (|m|, z), and
+# each series lane takes the steps of `_series_j`, so it has the bits of
+# `bessel_j(m, z)`: both call the same double-double primitives, which are
+# elementwise on numpy arrays too (numpy rounds once per operation, which
+# is all Dekker arithmetic needs).
 
 
 def _series_lanes(m: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -307,60 +304,6 @@ def _series_lanes(m: np.ndarray, z: np.ndarray) -> np.ndarray:
     )
 
 
-def _miller_lanes(m: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """`_miller_j` on each lane of (m, z), z > 0.
-
-    Each lane starts from its own seed order `_miller_start(m, z)` and is
-    held at zero until then.  With the lanes in descending order of seed,
-    the lanes already started at order k are a prefix, so the held lanes
-    cost nothing.  Each lane takes the steps of `_miller_pass`, with no
-    rescale, and a lane that overflows fails the normalization check.
-    """
-    import numpy as np
-
-    out = np.empty_like(z)
-    if not z.size:
-        return out
-    start = np.maximum(m, z.astype(np.int64)) + 40 + (2.0 * np.sqrt(z)).astype(np.int64)
-    start += start % 2
-    lane = np.argsort(-start, kind="stable")
-    m, z, start = m[lane], z[lane], start[lane]
-    top = int(start[0])
-    started = np.searchsorted(-start, -np.arange(top + 1), side="right").tolist()
-    captures = {order: np.flatnonzero(m == order) for order in np.unique(m).tolist()}
-    two_over_z = 2.0 / z
-    f = [np.zeros_like(z), np.zeros_like(z)]  # fk and fkp1, swapped each step
-    jm, norm, comp = (np.zeros_like(z) for _ in range(3))
-    n = 0
-    for k in range(top, 0, -1):
-        if started[k] > n:
-            f[0][n : started[k]] = 1e-30
-            n = started[k]
-            # views of the started lanes, made again only when more start
-            fk, fkp1 = f[0][:n], f[1][:n]
-            t_z, t_norm, t_comp = two_over_z[:n], norm[:n], comp[:n]
-        # fk_new = k * (2/z) * fk - fkp1, written over fkp1, which then becomes fk
-        new = k * t_z
-        new *= fk
-        np.subtract(new, fkp1, out=fkp1)
-        fk, fkp1 = fkp1, fk
-        f.reverse()
-        order = k - 1
-        rows = captures.get(order)
-        if rows is not None:
-            jm[rows] = f[0][rows]
-        if order % 2 == 0:
-            t_norm[:], err = _two_sum(t_norm, fk if order == 0 else 2.0 * fk)
-            t_comp += err
-    norm += comp
-    if (norm == 0.0).any() or not np.isfinite(norm).all():
-        raise InternalConsistencyError(
-            f"backward recurrence normalization failed for orders {sorted(captures)}"
-        )
-    out[lane] = jm / norm
-    return out
-
-
 def bessel_j_many(m, z) -> np.ndarray:
     """Elementwise J_m over arrays of arguments; every value has exactly the
     bits of `bessel_j`, which refuses the same inputs.
@@ -371,10 +314,11 @@ def bessel_j_many(m, z) -> np.ndarray:
     * `m` a 1-D integer sequence of F orders and `z` of shape (F, N): row i
       holds J_{m[i]}(z[i]).
 
-    Each order is broadcast to the lanes of its row, and each regime runs
-    once for all lanes, so one call serves a whole stack of radial
-    profiles.  A call pays for a loop over series terms and recurrence
-    orders whatever its size, so a few values are cheaper from `bessel_j`.
+    Each order is broadcast to the lanes of its row.  The series regime
+    runs once for all its lanes, so one call serves a whole stack of radial
+    profiles; each lane above the switch point is the `_miller_j` call of
+    `bessel_j`.  A call with series lanes pays for a loop over series terms
+    whatever its size, so a few values are cheaper from `bessel_j`.
     """
     import numpy as np
 
@@ -419,7 +363,8 @@ def bessel_j_many(m, z) -> np.ndarray:
     big = lanes > switch
     out[zero] = mags[zero] == 0
     out[small] = _series_lanes(mags[small], lanes[small])
-    out[big] = _miller_lanes(mags[big], lanes[big])
+    # the recurrence regime runs lane by lane, through the call `bessel_j` makes
+    out[big] = [_miller_j(*lane) for lane in zip(mags[big].tolist(), lanes[big].tolist())]
     # J_{-m} = (-1)^m J_m away from z = 0, where `bessel_j` gives 1.0 or 0.0
     flip = np.repeat((orders < 0) & (orders % 2 == 1), rows.shape[1]) & ~zero
     out[flip] = -out[flip]

@@ -181,7 +181,9 @@ class FactorTable(NamedTuple):
 
 def disc_table(a: float, lambda_max: float, cache: ZeroCache) -> FactorTable:
     """The disc's `zero_table` below the cutoff: rows with nu >= 1 are paired,
-    and the labels are `holomorphic_factor(0, a)` and the `row_factors`."""
+    and the labels are `holomorphic_factor(0, a)` and the `row_factors`, all
+    made with the checked radius."""
+    a = check_radius(a)
     lam, nu, j = zero_table(a, lambda_max, cache)
 
     def labels() -> list[tuple[ModeFactor, ...]]:

@@ -33,13 +33,17 @@ def check_radius(a) -> float:
         raise InvalidArgumentError(f"radius must be a real number, got {a!r}")
     if not (0 < a < math.inf):  # NaN fails too; an int past the double range passes
         raise InvalidArgumentError(f"radius must be positive and finite, got {a!r}")
-    if not (MIN_RADIUS <= a <= MAX_RADIUS):
+    try:  # compared as a double: a float32 cannot hold the bounds
+        x = float(a)
+    except OverflowError:  # an int or Fraction past the double range
+        x = math.inf
+    if not (MIN_RADIUS <= x <= MAX_RADIUS):
         raise UnsupportedRangeError(
             f"radius {a!r} outside the admissible range [2**-500, 2**500] "
             f"(about [{MIN_RADIUS:.4g}, {MAX_RADIUS:.4g}]), where a**2, a**-2 and "
             f"every (lambda/a)**2 of the zero window are normal doubles"
         )
-    return float(a)
+    return x
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,11 @@ on the workload given as its arguments, after the random generator and the
 zero cache that every check takes, and returns named `CheckResult`s.  A
 check fails, and says why, when a value it samples is NaN or infinite or
 when it samples nothing.  `SUITES` holds verify's small workloads.
+
+`bessel` and `zeros`, which every suite loads, are imported here; a check
+that uses other modules imports them itself, so a suite loads only what
+its checks use (`verify --suite zeros` loads no disc modes, spectrum,
+eigenforms or oracles).
 """
 
 from __future__ import annotations
@@ -18,11 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bessel import bessel_j, bessel_j_prime, bessel_j_second, oracle_bessel_j
-from .disc_modes import dirichlet_factors, holomorphic_factor, neumann_factors, robin_residual
-from .eigenforms import FormPoint, dbar_boundary_residual, eval_coefficient, laplacian_residual
 from .errors import InvalidArgumentError, PolyspecError
-from .spectrum import Polydisc, assemble_spectrum, bottom, enumerate_modes, mode_descriptor
-from .verify import BoundaryCondition, brute_force_spectrum, fd_convergence_report
 from .zeros import ZeroCache, j0_bracket
 
 __all__ = ["CheckResult", "SUITES", "run_checks", "run_suite", "run_suites"]
@@ -147,6 +148,8 @@ def check_simple_zeros(rng, cache: ZeroCache, up_to: int) -> list[CheckResult]:
 
 
 def check_disc_factors(rng, cache: ZeroCache) -> list[CheckResult]:
+    from .disc_modes import dirichlet_factors, holomorphic_factor, neumann_factors, robin_residual
+
     facs = dirichlet_factors(1.0, 6.0, cache)
     lams = [f.lambda_k for f in facs]
     one = len(facs) == 1 and facs[0].angular_order == 0
@@ -172,6 +175,10 @@ def check_eigenform_residuals(rng, cache: ZeroCache, lam_max, interior, boundary
     """Every 1-form mode of the unit bidisc below `lam_max`: the eigenvalue
     equation at `interior` points, and at `boundary` points of each circle
     |z_k| = 1 the Dirichlet condition (k in J) or the dbar condition."""
+    from .eigenforms import FormPoint, dbar_boundary_residual, eval_coefficient, laplacian_residual
+    from .polydisc import Polydisc
+    from .spectrum import enumerate_modes
+
     pde, dirichlet, dbar = [], [], []
     for mode in enumerate_modes(Polydisc((1.0, 1.0)), 1, lam_max, cache):
         for _ in range(interior):
@@ -197,6 +204,10 @@ def check_eigenform_residuals(rng, cache: ZeroCache, lam_max, interior, boundary
 def check_enumeration_oracle(rng, cache: ZeroCache, radii_sets, lam_max) -> list[CheckResult]:
     """Every q-form mode below `lam_max`, value and descriptor, against brute
     force inside certified index bounds, for each 1 <= q < n."""
+    from .polydisc import Polydisc
+    from .spectrum import enumerate_modes, mode_descriptor
+    from .verify import brute_force_spectrum
+
     out = []
     for radii in radii_sets:
         P = Polydisc(radii)
@@ -219,6 +230,9 @@ def check_closed_form_bottom(rng, cache: ZeroCache, samples: int) -> list[CheckR
     """On random polydiscs (n = 2..4, radii in [0.4, 3), random q), `bottom` is
     the least lambda_{0,1}^2/4 * sum_{k in J} 1/a_k^2 over q-subsets J and the
     first spectral point, of infinite multiplicity."""
+    from .polydisc import Polydisc, bottom
+    from .spectrum import assemble_spectrum
+
     lam01_sq = cache.zero(0, 1) ** 2
     values, wrong = [], []
     for _ in range(samples):
@@ -247,6 +261,8 @@ def check_fd_convergence(rng, cache: ZeroCache, orders, count, grid_sizes, richa
     condition: order-2 error decay and Richardson agreement.  The dbar-Neumann
     problem has a zero mode exactly when m >= 0, and its least eigenvalue is
     the first positive closed form otherwise."""
+    from .verify import BoundaryCondition, fd_convergence_report
+
     out = []
     for m, bc in itertools.product(orders, BoundaryCondition):
         rep = fd_convergence_report(m, bc, 1.0, count, cache, grid_sizes=grid_sizes)

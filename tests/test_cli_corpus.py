@@ -47,6 +47,9 @@ CORPUS = [
     ("zeros --order 3 --count 5", "7bfed39881bc58b531e012dde1eba810042ca5a73f64d6604486c69aa9b3e65b"),
     ("zeros --order -2 --count 4 --format csv", "922fdef496b179c4361ba79d0a73a68a132f8fb73c1baf7cae67ab5d1ff84321"),
     ("zeros --order 5 --count 3 --format table", "e1bb81a1866ed7a83cff73356070e21e9a49d06398b537b7fb0bc45d93d6b048"),
+    ("verify --suite zeros", "9c59f71010ede2ea34fc8a4588339fe2724dc39820149584e4fe466f58fedfd6"),
+    ("verify --suite zeros --format table", "e67b45c278db76ce68deac2432be220f05cb694f27d94f5042829ea35b69dedf"),
+    ("verify --suite modes", "6f16cad7000f2637ee051660545474a8c81ba4358d586ac8c880c4a199ec7a94"),
 ]
 
 

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -177,6 +178,19 @@ def test_the_ends_of_the_admissible_range_give_normal_eigenvalues(cache):
     lam = dirichlet_factor(0, 1, 2.0**500, cache).lambda_k
     assert sys.float_info.min <= lam < (MAX_ARGUMENT / 2.0**-500) ** 2 <= sys.float_info.max
     assert dirichlet_factor(0, 1, 2.0**-500, cache).lambda_k < sys.float_info.max
+
+
+def test_factor_labels_carry_the_checked_radius(cache):
+    # the labels carried the caller's np.float32, which the CLI's JSON
+    # writer refuses, while their eigenvalues came from the checked float
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for factors in (dirichlet_factors, neumann_factors):
+            got = factors(np.float32(1.0), 20.0, cache)
+            assert got == factors(1.0, 20.0, cache)
+            assert all(type(f.radius) is float for f in got)
+        labels = disc_table(np.float32(1.0), 20.0, cache).labels()
+        assert all(type(f.radius) is float for fs in labels for f in fs)
 
 
 def test_zero_table_refuses_coinciding_zeros(cache):

@@ -7,6 +7,7 @@ import hashlib
 import itertools
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -205,6 +206,19 @@ def test_radii_outside_the_admissible_range_are_refused(a):
     # a**2, a**-2 or (lambda/a)**2 would overflow, underflow or be subnormal
     with pytest.raises(UnsupportedRangeError, match=r"\[2\*\*-500, 2\*\*500\]"):
         Polydisc((1.0, a))
+
+
+def test_a_float32_radius_is_checked_as_a_double():
+    # compared in float32, 2**500 overflowed the cast: a RuntimeWarning, and
+    # under -W error a refusal of an admissible radius
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        radii = Polydisc((np.float32(1.5), 2.0)).radii
+        assert radii == (1.5, 2.0) and all(type(a) is float for a in radii)
+        # ints and Fractions past the double range are still range errors
+        for a in (10**400, Fraction(10**400, 3)):
+            with pytest.raises(UnsupportedRangeError, match="admissible range"):
+                Polydisc((1.0, a))
 
 
 def test_bottom_at_the_ends_of_the_admissible_range_is_a_normal_double(cache):

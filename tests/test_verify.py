@@ -24,7 +24,7 @@ from polyspec import (
     selfcheck,
     sufficient_bounds,
 )
-from polyspec import verify
+from polyspec import spectrum, verify
 from polyspec.verify import MAX_ANGULAR_ORDER, MAX_GRID_POINTS
 
 LAM01_SQ = 5.783185962946785
@@ -242,7 +242,8 @@ def test_sufficient_bounds_are_sufficient(cache):
 def test_enumeration_oracle_check_catches_planted_faults(cache, monkeypatch, fault):
     workload = dict(radii_sets=((1.0, 1.0),), lam_max=10.0)
     assert all(r.passed for r in selfcheck.check_enumeration_oracle(None, cache, **workload))
-    enumerate_ok = selfcheck.enumerate_modes
-    monkeypatch.setattr(selfcheck, "enumerate_modes", lambda *args: fault(enumerate_ok(*args)))
+    # the check imports `enumerate_modes` when it runs, so the fault is planted in `spectrum`
+    enumerate_ok = spectrum.enumerate_modes
+    monkeypatch.setattr(spectrum, "enumerate_modes", lambda *args: fault(enumerate_ok(*args)))
     results = selfcheck.check_enumeration_oracle(None, cache, **workload)
     assert [r.passed for r in results] == [False]
