@@ -107,7 +107,16 @@ def neumann_factor(m: int, j: int, a: float, cache: ZeroCache) -> ModeFactor:
 
 
 def holomorphic_factor(p: int, a: float) -> ModeFactor:
-    return ModeFactor(FactorKind.HOLOMORPHIC, p, None, a, 0.0)
+    """The monomial r^p e^{ip theta} on the disc of radius a (lambda_k = 0).
+
+    The radius is checked and labelled as in `dirichlet_factor`; an
+    exponent that is not an integer (a bool included) raises
+    InvalidArgumentError.
+    """
+    a = check_radius(a)
+    if not isinstance(p, numbers.Integral) or isinstance(p, bool):
+        raise InvalidArgumentError(f"holomorphic exponent must be an integer, got {p!r}")
+    return ModeFactor(FactorKind.HOLOMORPHIC, int(p), None, a, 0.0)
 
 
 def zero_table(

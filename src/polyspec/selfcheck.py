@@ -8,19 +8,19 @@ check fails, and says why, when a value it samples is NaN or infinite or
 when it samples nothing.  `SUITES` holds verify's small workloads.
 
 `bessel` and `zeros`, which every suite loads, are imported here; a check
-that uses other modules imports them itself, so a suite loads only what
-its checks use (`verify --suite zeros` loads no disc modes, spectrum,
-eigenforms or oracles).
+that uses other modules, numpy among them, imports them itself, and a
+suite makes its random generator at its first draw, so a suite loads only
+what its checks use (`verify --suite zeros` loads no numpy, disc modes,
+spectrum, eigenforms or oracles).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .bessel import bessel_j, bessel_j_prime, bessel_j_second, oracle_bessel_j
 from .errors import InvalidArgumentError, PolyspecError
@@ -38,12 +38,37 @@ class CheckResult:
 
 def _holds(name: str, values, holds: bool, detail: str = "") -> CheckResult:
     """`holds` decides, unless `values` is empty or has a NaN or an inf."""
-    v = np.asarray(values, dtype=float)
-    bad = v.size - int(np.count_nonzero(np.isfinite(v)))
-    if bad or not v.size:
-        why = f"{bad} of {v.size} values not finite" if bad else "no values sampled"
+    flat = list(_flat(values))
+    bad = sum(not math.isfinite(v) for v in flat)
+    if bad or not flat:
+        why = f"{bad} of {len(flat)} values not finite" if bad else "no values sampled"
         return CheckResult(name, False, why)
     return CheckResult(name, bool(holds), detail)
+
+
+def _flat(values):
+    """The numbers of `values` as floats, nested lists and tuples flattened."""
+    for v in values:
+        if isinstance(v, (list, tuple)):
+            yield from _flat(v)
+        else:
+            yield float(v)
+
+
+class _Rng:
+    """`np.random.default_rng(seed)`, made (and numpy imported) at its first draw."""
+
+    def __init__(self, seed: int):
+        self._seed = seed
+
+    @functools.cached_property
+    def _rng(self):
+        import numpy as np
+
+        return np.random.default_rng(self._seed)
+
+    def __getattr__(self, name):  # reached for the generator's own names only
+        return getattr(self._rng, name)
 
 
 def _max_below(name: str, values, tol: float, label: str = "max") -> CheckResult:
@@ -75,6 +100,8 @@ def check_identities(rng, cache: ZeroCache, samples, zs, points, integral_sample
     equation at `samples` draws each, sum_m t^m J_m(z) = exp(z (t - 1/t) / 2)
     at `points` points t of the unit circle for each z in `zs`, and the
     integral representation at `integral_samples` draws."""
+    import numpy as np
+
     recurrence = [
         abs(m * bessel_j(m, z) - 0.5 * z * (bessel_j(m + 1, z) + bessel_j(m - 1, z)))
         for m, z in _draws(rng, samples, 31, (1e-6, 60.0))
@@ -321,7 +348,7 @@ def run_suite(name: str, seed: int = 0, cache: ZeroCache | None = None) -> dict:
     if cache is None:
         cache = ZeroCache()
     try:
-        checks = run_checks(np.random.default_rng(seed), cache, SUITES[name])
+        checks = run_checks(_Rng(seed), cache, SUITES[name])
     except PolyspecError as exc:  # a suite must never die silently
         checks = [CheckResult(f"{name} suite execution", False, f"{type(exc).__name__}: {exc}")]
     return {

@@ -8,10 +8,33 @@ Construction is inductive in the order:
 * each zero of J_{m+1} is bracketed by two consecutive zeros of J_m
   (interlacing), so level m+1 needs level m filled one index further.
 
-Every bracket is certified by an explicit sign change before refinement;
-a missing sign change aborts instead of guessing.  Each bracket holds
-exactly one zero, and it is simple (interlacing; Watson 15.22, DLMF 10.21).
-Refinement:
+Each bracket holds exactly one zero, and it is simple (interlacing; Watson
+15.22, DLMF 10.21), so an evaluated sign change of J_m inside the bracket
+of (m, j) certifies an enclosure of lambda_{m,j}.
+
+Serving.  Every zero the window can ask for (m <= MAX_ZERO_ORDER and
+(m + j) pi <= MAX_ARGUMENT: 12,684 of them) is stored, as (value, lo, hi),
+in the package data file `zero_snapshot.bin`, which the fill below wrote.
+A `ZeroCache` walks the inductive chain of the fill, and checks each entry
+on first use instead of computing it:
+
+* [lo, hi] lies inside the bracket of (m, j): ((j-1/2)pi, j pi) for m = 0,
+  else [lambda_{m-1,j}, lambda_{m-1,j+1}], whose entries are checked first;
+* J_m changes sign across [lo, hi], by two evaluations, neither of them 0;
+* lo <= value <= hi, and hi - lo is within the fill's target width
+  `_WIDTH_TOL` * max(1, b), b the upper end of the bracket.
+
+That is the certificate the fill leaves, at 2 kernel runs per zero instead
+of the fill's ~13.  An entry that fails a check, or a file of the wrong
+size or header, raises InternalConsistencyError; nothing is refilled.
+After a change to the Bessel kernel that moves a zero's bits, regenerate
+the file with `PYTHONPATH=src python tools/make_zero_snapshot.py` (its
+`--check` compares a fresh fill with the file instead); until then the
+tests that tie the snapshot to the fill fail.
+
+Fill (the snapshot's source, `_FillCache`).  Every bracket is certified by
+an explicit sign change before refinement; a missing sign change aborts
+instead of guessing.  Refinement:
 
 * Illinois regula falsi narrows the bracket to an evaluated sign change
   [a, b] no wider than the target width (~1e-13 relative);
@@ -35,8 +58,13 @@ All zeros live in a `ZeroCache`: a monotone, thread-safe table keyed by
 
 from __future__ import annotations
 
+import array
+import functools
 import math
 import numbers
+import os
+import struct
+import sys
 import threading
 
 from .bessel import MAX_ARGUMENT, _bessel_j_and_derivatives, bessel_j
@@ -55,6 +83,25 @@ MAX_ZERO_INDEX = 200
 _MAX_BISECTIONS = 60
 _MAX_NEWTON = 8
 _WIDTH_TOL = 1e-13
+
+# The chain of (m, j) reaches the J_0 bracket ending at (m + j) pi, so the
+# window holds m + j <= _MAX_CHAIN; below MAX_ZERO_INDEX, so order m holds
+# the indices 1.._MAX_CHAIN - m.
+_MAX_CHAIN = int(MAX_ARGUMENT // math.pi)
+
+# The snapshot: a header, then (value, lo, hi) as little-endian doubles
+# for each (m, j) of the window, ordered by m, then j.
+_SNAPSHOT_FILE = os.path.join(os.path.dirname(__file__), "zero_snapshot.bin")
+_SNAPSHOT_MAGIC = b"PSZEROS1"
+_SNAPSHOT_HEADER = struct.Struct("<8s4I")  # magic, entries, order, index, chain limits
+
+
+def _row_start(m: int) -> int:
+    """Index of the snapshot entry (m, 1): orders below m hold _MAX_CHAIN - k each."""
+    return m * _MAX_CHAIN - m * (m - 1) // 2
+
+
+_SNAPSHOT_ENTRIES = _row_start(MAX_ZERO_ORDER + 1)
 
 
 def j0_bracket(k: int) -> tuple[float, float]:
@@ -84,11 +131,16 @@ def _j0_bracket(k: int) -> tuple[float, float, float, float]:
 class ZeroCache:
     """Memoized table of positive Bessel zeros with certified enclosures.
 
-    Every enclosure is refined to one fixed relative width (`_WIDTH_TOL`),
-    so a zero has one value whatever cache computes it.  Entries are
-    immutable and inserted whole under a single lock, so concurrent lookups
-    never observe a partially computed entry.  Growth is on-demand and
-    monotone; nothing is ever invalidated.
+    A zero is served from the package's snapshot of the fill, and enters
+    the table once its entry passes the checks of the module docstring
+    (bracket, sign change, value, width), in the fill's chain order, so
+    the bracket of every entry is checked before the entry itself.  A
+    failed check raises InternalConsistencyError.  Every enclosure was
+    refined to one fixed relative width (`_WIDTH_TOL`), so a zero has one
+    value, bit for bit the fill's.  Entries are immutable and inserted
+    whole under a single lock, so concurrent lookups never observe a
+    partially checked entry.  Growth is on-demand and monotone; nothing is
+    ever invalidated.
     """
 
     def __init__(self):
@@ -148,8 +200,8 @@ class ZeroCache:
             return got
         # The inductive chain for (m, j) tops out at J_0 zero index m + j,
         # whose bracket ends at (m + j) * pi; reject if that exceeds the
-        # evaluation window.
-        if (m + j) * math.pi > MAX_ARGUMENT:
+        # evaluation window, and so the snapshot.
+        if m + j > _MAX_CHAIN:
             raise UnsupportedRangeError(
                 f"zero ({m}, {j}) needs the chain up to z ~ {(m + j) * math.pi:.1f}, "
                 f"beyond the z <= {MAX_ARGUMENT} evaluation window"
@@ -169,11 +221,49 @@ class ZeroCache:
             have = self._filled.get(lvl, 0)
             f_end = None
             for idx in range(have + 1, need + 1):
-                f_end = self._compute(lvl, idx, f_end)
+                f_end = self._add(lvl, idx, f_end)
             if need > have:
                 self._filled[lvl] = need
 
-    def _compute(self, m: int, j: int, f_lo: float | None) -> float | None:
+    def _add(self, m: int, j: int, f_lo: float | None) -> None:
+        """Enter the snapshot's (m, j) once it passes its checks.
+
+        `f_lo` serves the fill's `_add`; a check evaluates J_m only at the
+        ends of the stored enclosure.  The bracket is checked first, so
+        both evaluations lie in the window.
+        """
+        if m == 0:
+            a, b = (j - 0.5) * math.pi, j * math.pi  # j0_bracket(j - 1)
+        else:
+            a = self._table[(m - 1, j)][0]
+            b = self._table[(m - 1, j + 1)][0]
+        snap = _snapshot()
+        i = 3 * (_row_start(m) + j - 1)
+        value, lo, hi = snap[i], snap[i + 1], snap[i + 2]
+        if not (a <= lo and hi <= b):
+            fault = f"lies outside its bracket [{a!r}, {b!r}]"
+        elif not _sign_change(bessel_j(m, lo), bessel_j(m, hi)):
+            fault = "shows no sign change"
+        elif not lo <= value <= hi:
+            fault = f"does not hold its value {value!r}"
+        elif not hi - lo <= _WIDTH_TOL * max(1.0, b):
+            fault = "is wider than the refinement target"
+        else:
+            self._table[(m, j)] = (value, (lo, hi))
+            return None
+        raise InternalConsistencyError(
+            f"zero snapshot entry ({m}, {j}): enclosure [{lo!r}, {hi!r}] of J_{m} {fault}"
+        )
+
+
+class _FillCache(ZeroCache):
+    """A `ZeroCache` that computes each zero by the fill instead of serving it.
+
+    It writes the snapshot (tools/make_zero_snapshot.py) and ties it to the
+    Bessel kernel in the tests.
+    """
+
+    def _add(self, m: int, j: int, f_lo: float | None) -> float | None:
         """Fill (m, j); return J_m at the upper end of its bracket, if shared.
 
         Above order 0 the bracket of (m, j + 1) starts where this one ends,
@@ -194,7 +284,7 @@ class ZeroCache:
     def _refine(
         self, m: int, lo: float, hi: float, flo: float, fhi: float
     ) -> tuple[float, tuple[float, float]]:
-        if flo == 0.0 or fhi == 0.0 or (flo > 0.0) == (fhi > 0.0):
+        if not _sign_change(flo, fhi):
             raise InternalConsistencyError(
                 f"bracket ({lo}, {hi}) shows no sign change for J_{m}"
             )
@@ -246,6 +336,11 @@ class ZeroCache:
         return x, (lo, hi)
 
 
+def _sign_change(f_lo: float, f_hi: float) -> bool:
+    """Whether two values of J, neither of them 0, have opposite signs."""
+    return f_lo != 0.0 and f_hi != 0.0 and (f_lo > 0.0) != (f_hi > 0.0)
+
+
 def _narrow(
     m: int, lo: float, flo: float, hi: float, fhi: float, target: float
 ) -> tuple[float, float]:
@@ -283,3 +378,45 @@ def _narrow(
                 fa *= 0.5
             kept = 1
     return a, b
+
+
+@functools.cache
+def _snapshot() -> array.array:
+    """The snapshot's doubles, read once per process."""
+    try:
+        with open(_SNAPSHOT_FILE, "rb") as f:
+            data = f.read()
+    except OSError as exc:
+        raise InternalConsistencyError(f"zero snapshot unreadable: {exc}") from exc
+    return _parse_snapshot(data)
+
+
+def _parse_snapshot(data: bytes) -> array.array:
+    """The (value, lo, hi) doubles of a snapshot file whose size and header match the window."""
+    size = _SNAPSHOT_HEADER.size + 24 * _SNAPSHOT_ENTRIES
+    if len(data) != size:
+        raise InternalConsistencyError(f"zero snapshot holds {len(data)} bytes, not {size}")
+    header = _SNAPSHOT_HEADER.unpack_from(data)
+    window = (_SNAPSHOT_MAGIC, _SNAPSHOT_ENTRIES, MAX_ZERO_ORDER, MAX_ZERO_INDEX, _MAX_CHAIN)
+    if header != window:
+        raise InternalConsistencyError(f"zero snapshot header {header} does not match {window}")
+    doubles = array.array("d")
+    doubles.frombytes(memoryview(data)[_SNAPSHOT_HEADER.size :])
+    if sys.byteorder == "big":
+        doubles.byteswap()
+    return doubles
+
+
+def _pack_snapshot(cache: ZeroCache) -> bytes:
+    """The snapshot file of every zero in the window, as `cache` gives them."""
+    doubles = array.array("d")
+    for m in range(MAX_ZERO_ORDER + 1):
+        for j in range(1, _MAX_CHAIN - m + 1):
+            value, (lo, hi) = cache._entry(m, j)
+            doubles.extend((value, lo, hi))
+    if sys.byteorder == "big":
+        doubles.byteswap()
+    header = _SNAPSHOT_HEADER.pack(
+        _SNAPSHOT_MAGIC, _SNAPSHOT_ENTRIES, MAX_ZERO_ORDER, MAX_ZERO_INDEX, _MAX_CHAIN
+    )
+    return header + doubles.tobytes()

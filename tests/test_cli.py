@@ -269,6 +269,7 @@ _SPECTRUM = ["-m", "polyspec", "spectrum", "--radii", "1,1.5", "--q", "1", "--ma
         (
             ["-m", "polyspec", "verify", "--suite", "zeros"],
             {
+                "numpy",
                 "scipy.linalg",
                 "mpmath",
                 "polyspec.spectrum",
@@ -330,6 +331,15 @@ def test_q_out_of_range_exits_3():
 def test_unsupported_window_exits_3():
     res = run_cli("zeros", "--order", "300", "--count", "1")
     assert res.returncode == 3
+
+
+def test_a_cutoff_past_the_zero_window_exits_3(capsys):
+    # the class walk serves the chain up to order 150 before it asks for
+    # (151, 1), past the window
+    assert cli.main("spectrum --radii 1,1.5 --q 1 --max 3000".split()) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "polyspec: (m, j) = (151, 1) outside zero window m <= 150, j <= 200\n"
 
 
 def test_bad_flags_exit_2():

@@ -128,6 +128,28 @@ def test_holomorphic_exponent_validation():
         holomorphic_factor(-1, 1.0)
     f = holomorphic_factor(2, 1.0)
     assert f.kind is FactorKind.HOLOMORPHIC and f.lambda_k == 0.0
+    for p in (2.5, True, 2.0, "2", None):
+        with pytest.raises(InvalidArgumentError, match="exponent must be an integer"):
+            holomorphic_factor(p, 1.0)
+    g = holomorphic_factor(np.int64(3), 1.0)
+    assert type(g.angular_order) is int and g == holomorphic_factor(3, 1.0)
+
+
+def test_holomorphic_factor_checks_its_radius_like_the_other_kinds(cache):
+    # a float32 radius is labelled with the checked float, as
+    # `dirichlet_factor` labels it, so the CLI's JSON writer takes it
+    f = holomorphic_factor(0, np.float32(1.0))
+    assert type(f.radius) is float
+    assert type(dirichlet_factor(0, 1, np.float32(1.0), cache).radius) is float
+    # a radius past the admissible range is refused by every factor kind
+    for a in (1e300, 1e-300):
+        with pytest.raises(UnsupportedRangeError, match="admissible range"):
+            holomorphic_factor(0, a)
+        with pytest.raises(UnsupportedRangeError, match="admissible range"):
+            dirichlet_factor(0, 1, a, cache)
+    for a in (0.0, -1.0, math.nan, math.inf, "1"):
+        with pytest.raises(InvalidArgumentError, match="radius"):
+            holomorphic_factor(0, a)
 
 
 def test_infinite_factor_eigenvalue_is_refused():

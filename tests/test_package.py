@@ -1,6 +1,9 @@
 """The package surface: one name -> module table, resolved on first use."""
 
+import fnmatch
 import importlib
+import importlib.resources
+from pathlib import Path
 
 import pytest
 
@@ -32,3 +35,18 @@ def test_an_unknown_name_raises_attribute_error():
     assert not hasattr(polyspec, "spectrum_of_nothing")
     with pytest.raises(ImportError):
         exec("from polyspec import no_such_name", {})
+
+
+def test_the_zero_snapshot_is_package_data():
+    tomllib = pytest.importorskip("tomllib")
+    from polyspec import zeros
+
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as f:
+        globs = tomllib.load(f)["tool"]["setuptools"]["package-data"]["polyspec"]
+    name = Path(zeros._SNAPSHOT_FILE).name
+    assert Path(zeros._SNAPSHOT_FILE).parent == Path(zeros.__file__).parent
+    assert any(fnmatch.fnmatch(name, glob) for glob in globs)
+    found = importlib.resources.files("polyspec").joinpath(name)
+    assert found.is_file()
+    assert len(zeros._parse_snapshot(found.read_bytes())) == 3 * zeros._SNAPSHOT_ENTRIES

@@ -1,8 +1,10 @@
 """Certified Bessel zeros: brackets, interlacing, accuracy, cache behavior."""
 
+import array
 import hashlib
 import inspect
 import math
+import struct
 import threading
 from fractions import Fraction
 
@@ -123,21 +125,72 @@ def test_values_increase_in_index(cache):
 
 
 def test_first_zero_monotone_and_exceeds_order(cache):
+    # A fresh fill, not the snapshot: FILL_SHA256 pins the fill itself, and
+    # the snapshot must be that fill, bit for bit.
+    fill = zeros_mod._FillCache()
     # empirical guard, validated numerically up to order 150; enumeration
     # correctness only relies on the (proved) monotone growth
     prev = 0.0
     for m in range(0, 151):
-        lam = cache.zero(m, 1)
+        lam = fill.zero(m, 1)
         assert lam > prev
         assert lam > m
         prev = lam
-    # the bits of every value and enclosure of that fill stay pinned
+    # the bits of every value and enclosure of that fill stay pinned, and
+    # the snapshot serves the same bits through its checks
+    assert _fill_digest(fill) == FILL_SHA256
+    assert _fill_digest(cache) == FILL_SHA256
+    # the rest of the window (m + j in 152..159) costs about 1 s more
+    for m in range(0, 151):
+        fill.zero(m, zeros_mod._MAX_CHAIN - m)
+    with open(zeros_mod._SNAPSHOT_FILE, "rb") as f:
+        stored = f.read()
+    fresh = zeros_mod._pack_snapshot(fill)
+    if fresh != stored:
+        a, b = zeros_mod._parse_snapshot(fresh), zeros_mod._parse_snapshot(stored)
+        moved = [
+            _key(i)
+            for i in range(zeros_mod._SNAPSHOT_ENTRIES)
+            if a[3 * i : 3 * i + 3] != b[3 * i : 3 * i + 3]
+        ]
+        pytest.fail(
+            f"{len(moved)} zeros differ from the snapshot, first {moved[:5]}; after a kernel "
+            "change, run PYTHONPATH=src python tools/make_zero_snapshot.py"
+        )
+
+
+def _fill_digest(cache):
+    """sha256 of the FILL_SHA256 lines, read from `cache`."""
     digest = hashlib.sha256()
     for m in range(0, 151):
         for j in range(1, 152 - m):
             lo, hi = cache.enclosure(m, j)
             digest.update(f"{m} {j} {cache.zero(m, j).hex()} {lo.hex()} {hi.hex()}\n".encode())
-    assert digest.hexdigest() == FILL_SHA256
+    return digest.hexdigest()
+
+
+def _key(i):
+    """The (m, j) of snapshot entry i."""
+    m = max(k for k in range(zeros_mod.MAX_ZERO_ORDER + 1) if zeros_mod._row_start(k) <= i)
+    return m, i - zeros_mod._row_start(m) + 1
+
+
+def test_every_snapshot_entry_passes_its_checks(cache):
+    for m in range(0, 151):
+        cache.zero(m, zeros_mod._MAX_CHAIN - m)
+    known = dict(cache.known_items())
+    assert len(known) == zeros_mod._SNAPSHOT_ENTRIES == 12684
+    assert all(_key(zeros_mod._row_start(m) + j - 1) == (m, j) for m, j in known)
+
+
+def test_the_snapshot_covers_exactly_the_window(cache):
+    top = zeros_mod._MAX_CHAIN
+    assert top * math.pi <= zeros_mod.MAX_ARGUMENT < (top + 1) * math.pi
+    assert top - 1 <= zeros_mod.MAX_ZERO_INDEX  # so each order's row is 1..top - m
+    for m in (0, 9, 150):
+        cache.zero(m, top - m)
+        with pytest.raises(UnsupportedRangeError):
+            cache.zero(m, top - m + 1)
 
 
 def _proven_sign(m, x):
@@ -238,10 +291,12 @@ def test_the_enclosure_width_is_fixed():
 
 
 def test_bracket_failure_aborts(monkeypatch):
-    # a sign-change certification that fails must abort, never guess
+    # a sign-change certification that fails must abort, never guess,
+    # whether the zero is served or filled
     monkeypatch.setattr(zeros_mod, "bessel_j", lambda m, z: 1.0)
-    with pytest.raises(InternalConsistencyError):
-        ZeroCache().zero(0, 1)
+    for kind in (ZeroCache, zeros_mod._FillCache):
+        with pytest.raises(InternalConsistencyError):
+            kind().zero(0, 1)
 
 
 def test_inferred_endpoint_with_wrong_sign_aborts(monkeypatch):
@@ -252,7 +307,7 @@ def test_inferred_endpoint_with_wrong_sign_aborts(monkeypatch):
     real = zeros_mod.bessel_j
     aborted = 0
     for j in range(1, 7):
-        clean = ZeroCache().enclosure(0, j)
+        clean = zeros_mod._FillCache().enclosure(0, j)
         for end in clean:
 
             def flipped(m, z, end=end):
@@ -261,9 +316,12 @@ def test_inferred_endpoint_with_wrong_sign_aborts(monkeypatch):
 
             monkeypatch.setattr(zeros_mod, "bessel_j", flipped)
             try:
-                assert ZeroCache().enclosure(0, j) != clean
+                assert zeros_mod._FillCache().enclosure(0, j) != clean
             except InternalConsistencyError:
                 aborted += 1
+            # the snapshot's check evaluates both ends, and refuses
+            with pytest.raises(InternalConsistencyError, match="no sign change"):
+                ZeroCache().enclosure(0, j)
             monkeypatch.setattr(zeros_mod, "bessel_j", real)
     assert aborted > 0
 
@@ -271,7 +329,8 @@ def test_inferred_endpoint_with_wrong_sign_aborts(monkeypatch):
 def test_j0_bracket_ends_are_evaluated_once(monkeypatch):
     # A cold fill of the first ten J_0 zeros made 130 calls of bessel_j when
     # the refinement evaluated both bracket ends again; it takes them from
-    # the bracket check now, two calls fewer per zero.
+    # the bracket check now, two calls fewer per zero.  Serving them from
+    # the snapshot takes the two sign tests of each enclosure.
     real = zeros_mod.bessel_j
     calls = 0
 
@@ -281,8 +340,122 @@ def test_j0_bracket_ends_are_evaluated_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(zeros_mod, "bessel_j", counted)
-    ZeroCache().zero(0, 10)
+    zeros_mod._FillCache().zero(0, 10)
     assert calls == 130 - 2 * 10
+    calls = 0
+    ZeroCache().zero(0, 10)
+    assert calls == 2 * 10
+
+
+def _no_refill(monkeypatch):
+    def refill(*args):
+        raise AssertionError("a refused snapshot entry was refilled")
+
+    monkeypatch.setattr(zeros_mod._FillCache, "_add", refill)
+    monkeypatch.setattr(zeros_mod, "_narrow", refill)
+
+
+def _planted(monkeypatch, edit):
+    """Serve a copy of the snapshot that `edit` changed; refilling fails the test."""
+    doubles = array.array("d", zeros_mod._snapshot())
+    edit(doubles)
+    monkeypatch.setattr(zeros_mod, "_snapshot", lambda: doubles)
+    _no_refill(monkeypatch)
+
+
+def _at(m, j):
+    """Offset of the (value, lo, hi) of (m, j) in the snapshot's doubles."""
+    return 3 * (zeros_mod._row_start(m) + j - 1)
+
+
+def _refused(m, j, match):
+    cache = ZeroCache()
+    for _ in range(2):  # a refusal is not remembered as a gap to fill
+        with pytest.raises(InternalConsistencyError, match=match):
+            cache.zero(m, j)
+    assert (m, j) not in dict(cache.known_items())
+
+
+def _flip(x, bit):
+    (u,) = struct.unpack("<Q", struct.pack("<d", x))
+    return struct.unpack("<d", struct.pack("<Q", u ^ (1 << bit)))[0]
+
+
+@pytest.mark.parametrize("m,j", [(0, 4), (3, 2), (37, 2)])
+def test_a_flipped_low_bit_of_an_enclosure_end_is_refused(monkeypatch, m, j):
+    value, lo, hi = zeros_mod._snapshot()[_at(m, j) : _at(m, j) + 3]
+    # the lowest bit whose flip moves the lower end across the zero
+    bit = next(k for k in range(52) if _flip(lo, k) > value)
+    assert bit < 16 and bessel_j(m, _flip(lo, bit)) * bessel_j(m, hi) > 0.0
+
+    def edit(d):
+        d[_at(m, j) + 1] = _flip(lo, bit)
+
+    _planted(monkeypatch, edit)
+    _refused(m, j, "no sign change")
+
+
+@pytest.mark.parametrize("m,j", [(0, 3), (4, 7)])
+def test_swapped_snapshot_entries_are_refused(monkeypatch, m, j):
+    def edit(d):
+        i, k = _at(m, j), _at(m, j + 1)
+        d[i : i + 3], d[k : k + 3] = d[k : k + 3], d[i : i + 3]
+
+    _planted(monkeypatch, edit)
+    _refused(m, j, "outside its bracket")
+
+
+def test_an_enclosure_wider_than_the_fill_target_is_refused(monkeypatch, cache):
+    # the target is set by the bracket's upper end b: for (1, 2) the stored
+    # enclosure is wider than _WIDTH_TOL times its own upper end
+    b = cache.zero(0, 3)
+    lo, hi = cache.enclosure(1, 2)
+    assert hi - lo > zeros_mod._WIDTH_TOL * hi
+    wide = hi - 1.5 * zeros_mod._WIDTH_TOL * b
+
+    def edit(d):
+        d[_at(1, 2) + 1] = wide
+
+    _planted(monkeypatch, edit)
+    _refused(1, 2, "wider than the refinement target")
+
+
+def test_an_entry_that_misses_its_value_is_refused(monkeypatch):
+    def edit(d):
+        i = _at(2, 5)
+        d[i] = d[i + 2] + (d[i + 2] - d[i + 1])
+
+    _planted(monkeypatch, edit)
+    _refused(2, 5, "does not hold its value")
+
+
+@pytest.mark.parametrize(
+    "damage,match",
+    [
+        (lambda data: data[:-8], "bytes"),
+        (lambda data: data[:100], "bytes"),
+        (lambda data: b"", "bytes"),
+        (lambda data: data + bytes(24), "bytes"),
+        (lambda data: b"PSZEROS0" + data[8:], "header"),
+        (lambda data: data[:12] + bytes(4) + data[16:], "header"),
+    ],
+)
+def test_a_damaged_snapshot_file_is_refused(monkeypatch, tmp_path, damage, match):
+    with open(zeros_mod._SNAPSHOT_FILE, "rb") as f:
+        data = f.read()
+    with pytest.raises(InternalConsistencyError, match=match):
+        zeros_mod._parse_snapshot(damage(data))
+    path = tmp_path / "zero_snapshot.bin"
+    path.write_bytes(damage(data))
+    monkeypatch.setattr(zeros_mod, "_SNAPSHOT_FILE", str(path))
+    zeros_mod._snapshot.cache_clear()
+    try:
+        _no_refill(monkeypatch)
+        _refused(0, 1, match)
+        monkeypatch.setattr(zeros_mod, "_SNAPSHOT_FILE", str(tmp_path / "missing.bin"))
+        _refused(0, 1, "unreadable")
+    finally:
+        zeros_mod._snapshot.cache_clear()
 
 
 def test_concurrent_fill_is_consistent():
