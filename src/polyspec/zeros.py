@@ -147,6 +147,7 @@ class ZeroCache:
         self._lock = threading.RLock()
         self._table: dict[tuple[int, int], tuple[float, tuple[float, float]]] = {}
         self._filled: dict[int, int] = {}  # order -> highest contiguous index
+        self._snapshot = _snapshot  # the doubles served, read at the first miss
 
     # -- public API ---------------------------------------------------------
 
@@ -219,25 +220,27 @@ class ZeroCache:
         for lvl in range(0, m + 1):
             need = j + (m - lvl)
             have = self._filled.get(lvl, 0)
-            f_end = None
-            for idx in range(have + 1, need + 1):
-                f_end = self._add(lvl, idx, f_end)
             if need > have:
+                self._extend(lvl, have + 1, need)
                 self._filled[lvl] = need
 
-    def _add(self, m: int, j: int, f_lo: float | None) -> None:
+    def _extend(self, m: int, first: int, last: int) -> None:
+        """Enter the zeros (m, first..last), in order."""
+        for j in range(first, last + 1):
+            self._add(m, j)
+
+    def _add(self, m: int, j: int) -> None:
         """Enter the snapshot's (m, j) once it passes its checks.
 
-        `f_lo` serves the fill's `_add`; a check evaluates J_m only at the
-        ends of the stored enclosure.  The bracket is checked first, so
-        both evaluations lie in the window.
+        A check evaluates J_m only at the ends of the stored enclosure.  The
+        bracket is checked first, so both evaluations lie in the window.
         """
         if m == 0:
             a, b = (j - 0.5) * math.pi, j * math.pi  # j0_bracket(j - 1)
         else:
             a = self._table[(m - 1, j)][0]
             b = self._table[(m - 1, j + 1)][0]
-        snap = _snapshot()
+        snap = self._snapshot()
         i = 3 * (_row_start(m) + j - 1)
         value, lo, hi = snap[i], snap[i + 1], snap[i + 2]
         if not (a <= lo and hi <= b):
@@ -263,13 +266,19 @@ class _FillCache(ZeroCache):
     Bessel kernel in the tests.
     """
 
-    def _add(self, m: int, j: int, f_lo: float | None) -> float | None:
-        """Fill (m, j); return J_m at the upper end of its bracket, if shared.
+    def _extend(self, m: int, first: int, last: int) -> None:
+        """Fill the zeros (m, first..last), in order.
 
-        Above order 0 the bracket of (m, j + 1) starts where this one ends,
-        so that value, passed back as `f_lo`, is not evaluated twice; a J_0
+        Above order 0 the bracket of (m, j + 1) starts where that of (m, j)
+        ends, so J_m there, passed on as `f_lo`, is evaluated once; a J_0
         bracket comes with both of its end values.
         """
+        f_lo = None
+        for j in range(first, last + 1):
+            f_lo = self._add(m, j, f_lo)
+
+    def _add(self, m: int, j: int, f_lo: float | None = None) -> float | None:
+        """Fill (m, j); return J_m at the upper end of its bracket, if shared."""
         if m == 0:
             lo, hi, f_lo, f_hi = _j0_bracket(j - 1)
         else:
@@ -405,6 +414,19 @@ def _parse_snapshot(data: bytes) -> array.array:
     if sys.byteorder == "big":
         doubles.byteswap()
     return doubles
+
+
+def _check_snapshot(data: bytes) -> None:
+    """Serve every zero of the snapshot file `data` through a `ZeroCache`'s checks.
+
+    Raises InternalConsistencyError for a bad size or header, or at the
+    first entry, in chain order, that fails its checks.
+    """
+    doubles = _parse_snapshot(data)
+    cache = ZeroCache()
+    cache._snapshot = lambda: doubles
+    for m in range(MAX_ZERO_ORDER + 1):
+        cache._entry(m, _MAX_CHAIN - m)
 
 
 def _pack_snapshot(cache: ZeroCache) -> bytes:

@@ -2,8 +2,10 @@
 
 import array
 import hashlib
+import importlib.util
 import inspect
 import math
+import pathlib
 import struct
 import threading
 from fractions import Fraction
@@ -124,7 +126,7 @@ def test_values_increase_in_index(cache):
             assert v < nxt
 
 
-def test_first_zero_monotone_and_exceeds_order(cache):
+def test_first_zero_monotone_and_exceeds_order():
     # A fresh fill, not the snapshot: FILL_SHA256 pins the fill itself, and
     # the snapshot must be that fill, bit for bit.
     fill = zeros_mod._FillCache()
@@ -136,10 +138,13 @@ def test_first_zero_monotone_and_exceeds_order(cache):
         assert lam > prev
         assert lam > m
         prev = lam
-    # the bits of every value and enclosure of that fill stay pinned, and
-    # the snapshot serves the same bits through its checks
-    assert _fill_digest(fill) == FILL_SHA256
-    assert _fill_digest(cache) == FILL_SHA256
+    # the bits of every value and enclosure of that fill stay pinned
+    digest = hashlib.sha256()
+    for m in range(0, 151):
+        for j in range(1, 152 - m):
+            lo, hi = fill.enclosure(m, j)
+            digest.update(f"{m} {j} {fill.zero(m, j).hex()} {lo.hex()} {hi.hex()}\n".encode())
+    assert digest.hexdigest() == FILL_SHA256
     # the rest of the window (m + j in 152..159) costs about 1 s more
     for m in range(0, 151):
         fill.zero(m, zeros_mod._MAX_CHAIN - m)
@@ -159,16 +164,6 @@ def test_first_zero_monotone_and_exceeds_order(cache):
         )
 
 
-def _fill_digest(cache):
-    """sha256 of the FILL_SHA256 lines, read from `cache`."""
-    digest = hashlib.sha256()
-    for m in range(0, 151):
-        for j in range(1, 152 - m):
-            lo, hi = cache.enclosure(m, j)
-            digest.update(f"{m} {j} {cache.zero(m, j).hex()} {lo.hex()} {hi.hex()}\n".encode())
-    return digest.hexdigest()
-
-
 def _key(i):
     """The (m, j) of snapshot entry i."""
     m = max(k for k in range(zeros_mod.MAX_ZERO_ORDER + 1) if zeros_mod._row_start(k) <= i)
@@ -181,6 +176,10 @@ def test_every_snapshot_entry_passes_its_checks(cache):
     known = dict(cache.known_items())
     assert len(known) == zeros_mod._SNAPSHOT_ENTRIES == 12684
     assert all(_key(zeros_mod._row_start(m) + j - 1) == (m, j) for m, j in known)
+    # a served zero is the stored one, bit for bit
+    snap = zeros_mod._snapshot()
+    for (m, j), value in known.items():
+        assert snap[_at(m, j) : _at(m, j) + 3].tolist() == [value, *cache.enclosure(m, j)]
 
 
 def test_the_snapshot_covers_exactly_the_window(cache):
@@ -456,6 +455,32 @@ def test_a_damaged_snapshot_file_is_refused(monkeypatch, tmp_path, damage, match
         _refused(0, 1, "unreadable")
     finally:
         zeros_mod._snapshot.cache_clear()
+
+
+def _generator():
+    path = pathlib.Path(__file__).parents[1] / "tools" / "make_zero_snapshot.py"
+    spec = importlib.util.spec_from_file_location("make_zero_snapshot", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_generator_writes_no_file_that_the_checks_refuse(monkeypatch, tmp_path):
+    # A fill whose bisection meets an exact zero of J_m leaves lo == hi, an
+    # enclosure with no sign change that a ZeroCache would refuse.
+    with open(zeros_mod._SNAPSHOT_FILE, "rb") as f:
+        bad = bytearray(f.read())
+    value, _, _ = zeros_mod._snapshot()[_at(0, 1) : _at(0, 1) + 3]
+    lo_at = zeros_mod._SNAPSHOT_HEADER.size + 8 * (_at(0, 1) + 1)  # then hi
+    struct.pack_into("<dd", bad, lo_at, value, value)
+    with pytest.raises(InternalConsistencyError, match=r"\(0, 1\).*no sign change"):
+        zeros_mod._check_snapshot(bad)
+    tool = _generator()
+    path = tmp_path / "zero_snapshot.bin"
+    monkeypatch.setattr(zeros_mod, "_SNAPSHOT_FILE", str(path))
+    monkeypatch.setattr(zeros_mod, "_pack_snapshot", lambda cache: bytes(bad))
+    assert tool.main([]) == 1
+    assert not path.exists()
 
 
 def test_concurrent_fill_is_consistent():
