@@ -11,10 +11,10 @@ Subcommands:
                 or its inverse
 
 Each subcommand imports the modules it uses when it runs, so a run loads
-only what it prints: `zeros` and `bottom` load no numpy, `spectrum` loads
-neither the calculus (`eigenforms`, `spectral_ops`) nor the oracles, and
-only `oracle fd` loads scipy.linalg.  Flag parsing imports nothing: the
-`--suite` and `--bc` choices are written out.
+only what it prints: `zeros`, `bottom` and `oracle fd` load no numpy, and
+`spectrum` loads neither the calculus (`eigenforms`, `spectral_ops`) nor
+the oracles.  Flag parsing imports nothing: the `--suite` and `--bc`
+choices are written out.
 
 Output is deterministic byte for byte for identical flags: floats are
 serialized with 17 significant digits (lossless for doubles), orderings

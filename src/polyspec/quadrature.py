@@ -1,15 +1,18 @@
 """Gauss-Legendre rules and the node-count check, shared by the expansions
 (`spectral_ops`) and the quadrature oracles (`verify`) without either
-importing the other."""
+importing the other.  numpy is imported when a rule is first made, so
+importing this module loads none."""
 
 from __future__ import annotations
 
 import functools
 import numbers
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InvalidArgumentError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @functools.lru_cache(maxsize=16)
@@ -18,6 +21,8 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     The arrays are shared between callers, hence read-only.
     """
+    import numpy as np
+
     x, w = np.polynomial.legendre.leggauss(n)
     x.flags.writeable = False
     w.flags.writeable = False

@@ -5,7 +5,7 @@ Nothing here shares evaluation paths with the modules it checks:
 * `fd_radial_eigs` discretizes the separated radial problems directly, in
   self-adjoint form -(1/r)(r S')' + (m^2/r^2) S = lambda S with weight r on
   a staggered uniform grid, and solves the resulting symmetric tridiagonal
-  eigenproblem by Sturm-sequence bisection (LAPACK, via scipy).  Its
+  eigenproblem by Sturm-sequence bisection in plain Python floats.  Its
   eigenvalues converge at second order to the analytic closed forms.
 * `quad_inner_product` checks the weighted Bessel orthogonality relations
   by Gauss-Legendre quadrature.
@@ -27,13 +27,12 @@ import enum
 import itertools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .bessel import bessel_j_many
 from .errors import (
-    InternalConsistencyError,
     InvalidArgumentError,
     OracleInsufficientError,
     UnsupportedRangeError,
@@ -41,6 +40,9 @@ from .errors import (
 from .polydisc import Polydisc
 from .quadrature import _check_count, _gauss_legendre
 from .zeros import ZeroCache
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BoundaryCondition",
@@ -61,10 +63,10 @@ MAX_GRID_POINTS = 100_000
 # Largest |angular order| `FdConfig` accepts: far above the zero window's
 # 150, and refused before m * m can overflow a float in the matrix assembly.
 MAX_ANGULAR_ORDER = 10_000
-# LAPACK's Sturm-sequence bisection works with the squared off-diagonal
-# entries.  Entries outside this range have squares that leave the normal
-# floats, and the eigenvalues come back wrong without an error (radii above
-# ~1e78 at 2,000 points) or the solver fails (below ~1e-72).
+# The Sturm count divides the squared off-diagonal entries by its pivots, as
+# LAPACK's bisection does.  Entries outside this range have squares that
+# leave the normal floats, and the counts, so the eigenvalues, come back wrong
+# without an error (radii above ~1e78 at 2,000 points, or below ~1e-72).
 _FD_ENTRY_MIN = 1e-150
 _FD_ENTRY_MAX = 1e150
 
@@ -74,13 +76,21 @@ class BoundaryCondition(enum.Enum):
     DBAR_NEUMANN = "dbar-neumann"
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class FdConfig:
     """Radial finite-difference discretization parameters.
 
     The DBAR_NEUMANN case imposes the Robin form a S'(a) = m S(a) obtained
     from the separated boundary condition (signed m; the sign is what makes
-    the zero eigenvalue appear for m >= 0 and not for m < 0).
+    the zero eigenvalue appear for m >= 0 and not for m < 0).  The fields
+    are stored as int, float, int and a `BoundaryCondition`: a non-integral
+    or bool size or order, a non-real radius or a bc of another type raises
+    InvalidArgumentError, and a radius past the double range raises
+    UnsupportedRangeError.
     """
 
     grid_points: int
@@ -89,75 +99,147 @@ class FdConfig:
     bc: BoundaryCondition
 
     def __post_init__(self) -> None:
-        if not isinstance(self.grid_points, numbers.Integral) or not (
-            64 <= self.grid_points <= MAX_GRID_POINTS
-        ):
+        n, a, m = self.grid_points, self.radius, self.angular_order
+        if not _is_int(n) or not (64 <= n <= MAX_GRID_POINTS):
+            raise InvalidArgumentError(f"need 64 to {MAX_GRID_POINTS} grid points, got {n!r}")
+        if not isinstance(a, numbers.Real):
+            raise InvalidArgumentError(f"radius must be a real number, got {a!r}")
+        if not (0 < a < math.inf):  # NaN fails too; an int past the double range passes
+            raise InvalidArgumentError(f"radius must be positive and finite, got {a!r}")
+        try:
+            x = float(a)
+        except OverflowError:
+            raise UnsupportedRangeError(f"radius {a!r} is past the double range") from None
+        if not _is_int(m) or abs(m) > MAX_ANGULAR_ORDER:
             raise InvalidArgumentError(
-                f"need 64 to {MAX_GRID_POINTS} grid points, got {self.grid_points}"
+                f"need an integer |angular order| <= {MAX_ANGULAR_ORDER}, got {m!r}"
             )
-        if not (self.radius > 0.0) or not math.isfinite(self.radius):
-            raise InvalidArgumentError(f"radius must be positive and finite, got {self.radius}")
-        if not isinstance(self.angular_order, numbers.Integral) or (
-            abs(self.angular_order) > MAX_ANGULAR_ORDER
-        ):
-            raise InvalidArgumentError(
-                f"need an integer |angular order| <= {MAX_ANGULAR_ORDER}, "
-                f"got {self.angular_order}"
-            )
+        if not isinstance(self.bc, BoundaryCondition):
+            raise InvalidArgumentError(f"bc must be a BoundaryCondition, got {self.bc!r}")
+        object.__setattr__(self, "grid_points", int(n))
+        object.__setattr__(self, "radius", x)
+        object.__setattr__(self, "angular_order", int(m))
 
 
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # refused below instead
 def fd_radial_eigs(cfg: FdConfig, count: int) -> list[float]:
     """Smallest `count` eigenvalues of the discretized radial problem.
 
-    A matrix whose entries the eigensolver cannot square within the normal
+    A matrix whose entries the Sturm count cannot square within the normal
     floats raises UnsupportedRangeError.  With 2,000 grid points and m = 0
     that refuses radii outside about [3e-72, 2e78]; the window moves up with
     the number of points, and its lower end rises with |m|.
     """
-    if not isinstance(count, numbers.Integral) or not (1 <= count <= 10):
+    if not _is_int(count) or not (1 <= count <= 10):
         raise InvalidArgumentError(f"count must be an integer in [1, 10], got {count!r}")
+    d, e = _fd_matrix(cfg)
+    # the entry range keeps 1/a^2, the scale of the eigenvalues, a normal double
+    return _smallest_eigenvalues(d, e, count, 1.0 / (cfg.radius * cfg.radius))
+
+
+def _fd_matrix(cfg: FdConfig) -> tuple[list[float], list[float]]:
+    """Diagonal and off-diagonal of the symmetric tridiagonal FD matrix."""
     n = cfg.grid_points
     a = cfg.radius
     m = cfg.angular_order
-    h = np.float64(a) / n  # h**2 overflows to inf, where a float would raise
-    r = (np.arange(1, n + 1) - 0.5) * h
-    r_plus = np.arange(1, n + 1) * h   # r_{i+1/2}; r_{1/2} = 0 kills the inner flux
-    r_minus = np.arange(0, n) * h
-    diag = (r_plus + r_minus) / h**2 + (m * m) / r
-    off = -r_plus[:-1] / h**2
+    h = a / n
+    if cfg.bc is BoundaryCondition.DBAR_NEUMANN and m * h >= 2.0 * a:
+        raise InvalidArgumentError(
+            f"Robin closure ill-posed at this resolution: need m*h < 2a, "
+            f"got m={m}, h={h:.3g}, a={a}"
+        )
+    h2 = h * h
+    if not h2 > 0.0:  # every entry scales as 1 / h2
+        raise _unrepresentable(cfg)
+    r = [(i - 0.5) * h for i in range(1, n + 1)]
+    r_plus = [i * h for i in range(1, n + 1)]  # r_{i+1/2}
+    r_minus = [0.0, *r_plus[:-1]]  # r_{1/2} = 0 kills the inner flux
+    mm = m * m
+    diag = [(rp + rm) / h2 + mm / ri for rp, rm, ri in zip(r_plus, r_minus, r)]
     if cfg.bc is BoundaryCondition.DIRICHLET:
         # ghost closure (S_N + S_{N+1})/2 = 0
-        diag[-1] += r_plus[-1] / h**2
+        diag[-1] += r_plus[-1] / h2
     else:
         # ghost closure of a S'(a) = m S(a): S_{N+1} = g S_N
-        if m * h >= 2.0 * a:
-            raise InvalidArgumentError(
-                f"Robin closure ill-posed at this resolution: need m*h < 2a, "
-                f"got m={m}, h={h:.3g}, a={a}"
-            )
         g = (2.0 * a + m * h) / (2.0 * a - m * h)
-        diag[-1] = r_minus[-1] / h**2 + (m * m) / r[-1] - r_plus[-1] * (g - 1.0) / h**2
+        diag[-1] = r_minus[-1] / h2 + mm / r[-1] - r_plus[-1] * (g - 1.0) / h2
     # weight r: symmetrize T = W^{-1/2} A W^{-1/2}
-    d = diag / r
-    e = off / np.sqrt(r[:-1] * r[1:])
+    d = [v / ri for v, ri in zip(diag, r)]
+    e = [-rp / h2 / math.sqrt(ri * rj) for rp, ri, rj in zip(r_plus, r, r[1:])]
     # the exact matrix has a strictly negative off-diagonal; NaN fails too
     if not (
-        (np.abs(d) <= _FD_ENTRY_MAX).all()
-        and ((-_FD_ENTRY_MAX <= e) & (e <= -_FD_ENTRY_MIN)).all()
+        all(-_FD_ENTRY_MAX <= v <= _FD_ENTRY_MAX for v in d)
+        and all(-_FD_ENTRY_MAX <= v <= -_FD_ENTRY_MIN for v in e)
     ):
-        raise UnsupportedRangeError(
-            f"FD matrix not representable at radius {a}, order {m}, {n} grid points"
-        )
-    from scipy.linalg import eigh_tridiagonal  # only this oracle needs scipy.linalg
+        raise _unrepresentable(cfg)
+    return d, e
 
-    try:
-        vals = eigh_tridiagonal(
-            d, e, select="i", select_range=(0, count - 1), eigvals_only=True
-        )
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise InternalConsistencyError(f"tridiagonal eigensolver failed: {exc}") from exc
-    return [float(v) for v in vals]
+
+def _unrepresentable(cfg: FdConfig) -> UnsupportedRangeError:
+    return UnsupportedRangeError(
+        f"FD matrix not representable at radius {cfg.radius}, order {cfg.angular_order}, "
+        f"{cfg.grid_points} grid points"
+    )
+
+
+def _sturm_count(d: list[float], e2: list[float], x: float, pivmin: float) -> int:
+    """Number of eigenvalues of T below x, from the signs of the pivots of
+    T - x I = L D L^T; e2 holds 0 and then the squared off-diagonal.
+
+    A pivot smaller than pivmin in magnitude becomes -pivmin, as in LAPACK's
+    dlaebz, so no division is by zero.  In this form the count is monotone
+    in x in floating point (Kahan 1966).
+    """
+    count = 0
+    q = 1.0
+    for di, ei in zip(d, e2):
+        q = di - x - ei / q
+        if q < pivmin:
+            count += 1
+            if q > -pivmin:
+                q = -pivmin
+    return count
+
+
+def _smallest_eigenvalues(d: list[float], e: list[float], count: int, scale: float) -> list[float]:
+    """The `count` smallest eigenvalues of the symmetric tridiagonal matrix
+    with diagonal d and off-diagonal e, ascending, by Sturm-count bisection
+    (Barth, Martin and Wilkinson, Numer. Math. 9, 1967).
+
+    The brackets start at -scale and scale and double outwards until they
+    hold the eigenvalues; every count then narrows every bracket.  Each
+    bisection stops where LAPACK's dstebz stops by default, at a width
+    below max(eps ||T||_1, pivmin, 2 eps |end|), and returns the midpoint.
+    """
+    e2 = [0.0, *(v * v for v in e)]
+    pivmin = sys.float_info.min * max(1.0, max(e2))
+    abs_e = [0.0, *map(abs, e), 0.0]
+    norm = max(abs(v) + left + right for v, left, right in zip(d, abs_e, abs_e[1:]))
+    eps = sys.float_info.epsilon
+    atol = max(eps * norm, pivmin)
+    lower = [-math.inf] * count  # eigenvalue k lies in [lower[k], upper[k]]
+    upper = [math.inf] * count
+
+    def narrow(x: float) -> int:
+        below = _sturm_count(d, e2, x, pivmin)
+        for k in range(count):
+            if k < below:
+                upper[k] = min(upper[k], x)
+            else:
+                lower[k] = max(lower[k], x)
+        return below
+
+    x = -scale
+    while narrow(x) > 0:
+        x *= 2.0
+    x = scale
+    while narrow(x) < count:
+        x *= 2.0
+    values = []
+    for k in range(count):
+        while upper[k] - lower[k] >= max(atol, 2.0 * eps * max(abs(lower[k]), abs(upper[k]))):
+            narrow(0.5 * (lower[k] + upper[k]))
+        values.append(0.5 * (lower[k] + upper[k]))
+    return values
 
 
 def fd_convergence_report(
@@ -178,6 +260,8 @@ def fd_convergence_report(
     """
     if len(grid_sizes) < 2 or sorted(grid_sizes) != list(grid_sizes):
         raise InvalidArgumentError("grid_sizes must be ascending, at least two")
+    configs = {n: FdConfig(n, a, m, bc) for n in grid_sizes}  # checks a, m and bc first
+    a = configs[grid_sizes[0]].radius
     if bc is BoundaryCondition.DIRICHLET:
         exact = [(cache.zero(abs(m), j) / a) ** 2 for j in range(1, count + 1)]
         expect_zero_mode = False
@@ -186,9 +270,7 @@ def fd_convergence_report(
         exact = [(cache.zero(nu, j) / a) ** 2 for j in range(1, count + 1)]
         expect_zero_mode = m >= 0
     solve_count = count + 1 if expect_zero_mode else count
-    per_grid = {
-        n: fd_radial_eigs(FdConfig(n, a, m, bc), solve_count) for n in grid_sizes
-    }
+    per_grid = {n: fd_radial_eigs(cfg, solve_count) for n, cfg in configs.items()}
     zero_mode = None
     if expect_zero_mode:
         zero_mode = {n: per_grid[n][0] for n in grid_sizes}
@@ -237,6 +319,8 @@ def quad_inner_product(
         raise InvalidArgumentError("order must be non-negative here")
     if j < 1 or k < 1:
         raise InvalidArgumentError("zero indices must be >= 1")
+    import numpy as np
+
     _check_count("radial", nodes, 256)
     x, w = _gauss_legendre(nodes)
     r = 0.5 * (x + 1.0)
@@ -261,6 +345,8 @@ def radial_basis_gram(
         raise InvalidArgumentError("order must be non-negative here")
     if not isinstance(size, numbers.Integral) or size < 2:
         raise InvalidArgumentError(f"need an integer size >= 2 basis elements, got {size!r}")
+    import numpy as np
+
     _check_count("radial", nodes, 1)
     x, w = _gauss_legendre(nodes)
     r = 0.5 * (x + 1.0)
@@ -304,6 +390,8 @@ def brute_force_spectrum(
     (value, descriptor) pairs in no specified order; descriptors follow
     `spectrum.mode_descriptor`.
     """
+    import numpy as np
+
     n = P.n
     if not isinstance(q, numbers.Integral) or not (1 <= q <= n - 1):
         raise InvalidArgumentError(f"q = {q!r} is not an integer in [1, {n - 1}]")

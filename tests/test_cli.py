@@ -280,18 +280,24 @@ _SPECTRUM = ["-m", "polyspec", "spectrum", "--radii", "1,1.5", "--q", "1", "--ma
                 "polyspec.spectral_ops",
             },
         ),
+        (
+            ["-m", "polyspec", "oracle", "fd", "--order", "0", "--bc", "dirichlet", "--grid", "200"],
+            _NUMERICS
+            | {
+                "polyspec.spectrum",
+                "polyspec.disc_modes",
+                "polyspec.eigenforms",
+                "polyspec.spectral_ops",
+                "polyspec.gridfile",
+                "polyspec.selfcheck",
+            },
+        ),
     ],
 )
 def test_subcommand_loads_only_what_it_prints(argv, unloaded):
     loaded = _loaded(*argv)
     assert "polyspec" in loaded
     assert not loaded & unloaded
-
-
-def test_oracle_fd_loads_scipy_linalg_and_no_calculus():
-    loaded = _loaded("-m", "polyspec", "oracle", "fd", "--order", "0", "--bc", "dirichlet", "--grid", "200")
-    assert "scipy.linalg" in loaded
-    assert not loaded & {"polyspec.spectral_ops", "polyspec.eigenforms"}
 
 
 def _choices(*path, flag):

@@ -6,6 +6,7 @@ change that means to alter the bytes on stdout has to say why and record
 new ones.  The JSON spectrum digests were re-recorded when the request
 record lost its grouping tolerance and `schema_version` became "2"; the
 bytes are otherwise unchanged.  `inverse` is left out: its bytes depend on BLAS summation order.
+`oracle fd` is in: its matrix and bisection are plain IEEE double arithmetic.
 """
 
 import contextlib
@@ -50,6 +51,8 @@ CORPUS = [
     ("verify --suite zeros", "9c59f71010ede2ea34fc8a4588339fe2724dc39820149584e4fe466f58fedfd6"),
     ("verify --suite zeros --format table", "e67b45c278db76ce68deac2432be220f05cb694f27d94f5042829ea35b69dedf"),
     ("verify --suite modes", "6f16cad7000f2637ee051660545474a8c81ba4358d586ac8c880c4a199ec7a94"),
+    ("oracle fd --order 2 --bc dirichlet --grid 500 --count 4", "8a42ac76b0e1b6468f07ffd80e7b600776f1818b7fe47eadd35caa5285c3af76"),
+    ("oracle fd --order 1 --bc dbar-neumann --grid 300 --radius 1.5 --count 3 --format table", "9c57858522ce04c6aa8dcbb2983fb6ad63368c32ec5c35daeab6e97655e62f42"),
 ]
 
 

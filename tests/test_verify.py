@@ -84,6 +84,63 @@ def test_fd_refuses_non_integral_sizes_and_orders():
     assert fd_radial_eigs(numpy_cfg, np.int64(2)) == fd_radial_eigs(cfg, 2)
 
 
+def test_fd_config_refuses_what_it_cannot_mean():
+    dirichlet = BoundaryCondition.DIRICHLET
+    # the string used to fail the `is DIRICHLET` test and solve the Robin
+    # problem, with a zero mode of -5.7e-11
+    with pytest.raises(InvalidArgumentError, match="BoundaryCondition"):
+        FdConfig(500, 1.0, 0, "dirichlet")
+    for radius in ("1", None, 1 + 0j):  # each used to raise a bare TypeError
+        with pytest.raises(InvalidArgumentError, match="radius"):
+            FdConfig(500, radius, 0, dirichlet)
+    with pytest.raises(UnsupportedRangeError, match="radius"):  # was OverflowError
+        FdConfig(500, 10**400, 0, dirichlet)
+    with pytest.raises(InvalidArgumentError, match="angular order"):  # was taken as 1
+        FdConfig(500, 1.0, True, dirichlet)
+    with pytest.raises(InvalidArgumentError, match="count"):  # was taken as 1
+        fd_radial_eigs(FdConfig(500, 1.0, 0, dirichlet), True)
+    cfg = FdConfig(np.int64(64), np.float32(1.5), np.int64(-2), dirichlet)
+    assert [type(v) for v in (cfg.grid_points, cfg.radius, cfg.angular_order)] == [int, float, int]
+    assert cfg == FdConfig(64, 1.5, -2, dirichlet)
+
+
+def _solver_error(cfg, count=10):
+    """Largest gap between `fd_radial_eigs` and numpy's dense `eigvalsh` of
+    the same matrix over the smallest `count` eigenvalues, in eps ||T||_1."""
+    d, e = verify._fd_matrix(cfg)
+    dense = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    reference = np.linalg.eigvalsh(dense)[:count]
+    norm = np.abs(dense).sum(axis=0).max()
+    gap = np.abs(np.array(fd_radial_eigs(cfg, count)) - reference).max()
+    return gap / (np.finfo(float).eps * norm)
+
+
+@pytest.mark.parametrize("n", [64, 500])
+@pytest.mark.parametrize("bc", list(BoundaryCondition))
+def test_fd_bisection_matches_a_dense_eigensolver(n, bc):
+    # LAPACK's own bisection stops at eps ||T||_1 as well; 1.4 was the worst seen
+    for m in range(-3, 4):
+        assert _solver_error(FdConfig(n, 1.0, m, bc)) < 4.0
+
+
+def test_the_dense_check_catches_planted_solver_faults(monkeypatch):
+    # A flipped off-diagonal sign is no fault an eigenvalue check can see: it
+    # is the similarity D T D with D = diag(+-1).  These two change the values.
+    cfg = FdConfig(64, 1.0, 1, BoundaryCondition.DBAR_NEUMANN)
+    count = verify._sturm_count
+    monkeypatch.setattr(verify, "_sturm_count", lambda d, e2, x, p: count(d, e2, x, p) - 1)
+    assert _solver_error(cfg) > 1e6  # each value is the next eigenvalue up
+    # one squared off-diagonal entry read wrong in its sixth digit
+    monkeypatch.setattr(
+        verify,
+        "_sturm_count",
+        lambda d, e2, x, p: count(d, [*e2[:32], e2[32] * (1 + 1e-6), *e2[33:]], x, p),
+    )
+    assert _solver_error(cfg) > 1e3
+    monkeypatch.undo()
+    assert _solver_error(cfg) < 4.0
+
+
 def test_fd_refuses_orders_and_radii_it_cannot_solve():
     # a 161-digit order used to overflow while the matrix was assembled
     for m in (10**160, -(10**160), MAX_ANGULAR_ORDER + 1):
@@ -112,6 +169,9 @@ def test_fd_convergence_report(cache):
     for e in rep["eigenvalues"]:
         assert all(abs(s - 2.0) < 0.3 for s in e["slopes"])
         assert e["richardson_rel_error"] < 1e-6
+    # a string radius used to reach the closed forms and raise a bare TypeError
+    with pytest.raises(InvalidArgumentError, match="radius"):
+        fd_convergence_report(0, BoundaryCondition.DIRICHLET, "1", 2, cache)
 
 
 def test_quad_orthogonality(cache):
